@@ -4,8 +4,15 @@
 //! paper's cube engine descends from), chunks whose fill factor drops below
 //! 40 % are stored compressed as `(offset, value)` pairs — "chunk-offset
 //! compression" — while well-filled chunks stay dense.
+//!
+//! Both forms are queried the same way: the query region is walked as
+//! contiguous row-major runs, trailing dimensions it covers fully merged
+//! into one run. A dense chunk sums each run as a slice; a compressed chunk
+//! finds each run's cells by binary search in its ascending offsets, so it
+//! never decodes a cell's coordinates.
 
-use crate::geometry::{coords_of, linear_index, Region};
+use crate::geometry::Region;
+use std::ops::Range;
 
 /// Fill-factor threshold below which a chunk is compressed (Zhao et al.'s
 /// 40 %).
@@ -42,8 +49,13 @@ pub enum Chunk {
     },
     /// Chunk-offset compression: only non-empty cells, sorted by local
     /// offset.
+    ///
+    /// Invariant: `offsets` is strictly ascending and every offset is below
+    /// the chunk's cell count; the aggregation kernels rely on it, and
+    /// [`crate::MolapCube::from_parts`] rejects chunks that break it.
     Sparse {
-        /// Local row-major offsets of the non-empty cells, ascending.
+        /// Local row-major offsets of the non-empty cells, strictly
+        /// ascending.
         offsets: Vec<u32>,
         /// Sums of the non-empty cells, parallel to `offsets`.
         sums: Vec<f64>,
@@ -163,42 +175,29 @@ impl Chunk {
     /// (bounds expressed in the chunk's local coordinates over
     /// `local_shape`).
     ///
-    /// The dense path exploits contiguity: the innermost dimension of the
-    /// intersection is a contiguous slice, so the hot loop is a straight
-    /// streaming sum — this is what makes cube processing memory-bandwidth
-    /// bound, as the paper's model assumes.
+    /// The region is walked as contiguous row-major runs
+    /// ([`Chunk::for_each_run`]), each summed as one slice, so the hot loop
+    /// is a straight streaming sum — this is what makes cube processing
+    /// memory-bandwidth bound, as the paper's model assumes. Cells are
+    /// summed in ascending offset order, dense or compressed.
     pub fn aggregate(&self, local_shape: &[u32], local_region: &Region) -> CellAgg {
         debug_assert_eq!(local_shape.len(), local_region.ndim());
-        match self {
-            Self::Dense { sums, counts } => {
-                dense_aggregate(sums, counts, local_shape, local_region)
-            }
-            Self::Sparse {
-                offsets,
-                sums,
-                counts,
-            } => {
-                let mut agg = CellAgg::default();
-                for (i, &off) in offsets.iter().enumerate() {
-                    let coords = coords_of(local_shape, off as usize);
-                    if local_region.contains(&coords) {
-                        agg.sum += sums[i];
-                        agg.count += counts[i];
-                    }
-                }
-                agg
-            }
-        }
+        let (sums, counts) = self.values();
+        let mut agg = CellAgg::default();
+        self.for_each_run(local_shape, local_region, 0, |cells, _, _| {
+            add_run(&mut agg, &sums[cells.clone()], &counts[cells]);
+        });
+        agg
     }
-}
 
-impl Chunk {
     /// Aggregates the cells inside `local_region`, split *along* one axis:
     /// the cell at local coordinate `c` contributes to
     /// `out[c[axis] − local_region.bounds[axis].0 + out_base]`.
     ///
     /// This is the chunk-level kernel behind per-coordinate (GROUP BY one
-    /// dimension) cube queries.
+    /// dimension) cube queries. Runs merge only the dimensions after
+    /// `axis`, so each run feeds one output slot unless `axis` is the
+    /// innermost dimension.
     pub fn aggregate_along(
         &self,
         local_shape: &[u32],
@@ -208,81 +207,145 @@ impl Chunk {
         out_base: usize,
     ) {
         debug_assert!(axis < local_shape.len());
-        let axis_from = local_region.bounds[axis].0;
+        let innermost = axis + 1 == local_shape.len();
+        let axis_from = local_region.bounds[axis].0 as usize;
+        let (sums, counts) = self.values();
+        self.for_each_run(
+            local_shape,
+            local_region,
+            axis + 1,
+            |cells, start, outer| {
+                if innermost {
+                    // A run is one row of the axis starting at `axis_from`,
+                    // so a cell's slot is its distance from the run start.
+                    for i in cells {
+                        let slot = &mut out[out_base + self.offset_of(i) - start];
+                        slot.sum += sums[i];
+                        slot.count += counts[i];
+                    }
+                } else {
+                    let slot = &mut out[out_base + outer[axis] as usize - axis_from];
+                    add_run(slot, &sums[cells.clone()], &counts[cells]);
+                }
+            },
+        );
+    }
+
+    /// The stored per-cell sums and counts.
+    fn values(&self) -> (&[f64], &[u64]) {
         match self {
-            Self::Dense { sums, counts } => {
-                // Odometer over every cell of the intersection.
-                let ndim = local_shape.len();
-                let mut cursor: Vec<u32> = local_region.bounds.iter().map(|&(f, _)| f).collect();
-                loop {
-                    let idx = linear_index(local_shape, &cursor);
-                    let slot = out_base + (cursor[axis] - axis_from) as usize;
-                    out[slot].sum += sums[idx];
-                    out[slot].count += counts[idx];
-                    let mut d = ndim;
-                    loop {
-                        if d == 0 {
-                            return;
-                        }
-                        d -= 1;
-                        if cursor[d] < local_region.bounds[d].1 {
-                            cursor[d] += 1;
-                            break;
-                        }
-                        cursor[d] = local_region.bounds[d].0;
-                    }
-                }
+            Self::Dense { sums, counts } | Self::Sparse { sums, counts, .. } => (sums, counts),
+        }
+    }
+
+    /// Local row-major offset of the `i`-th stored cell.
+    fn offset_of(&self, i: usize) -> usize {
+        match self {
+            Self::Dense { .. } => i,
+            Self::Sparse { offsets, .. } => offsets[i] as usize,
+        }
+    }
+
+    /// The run walker behind every chunk kernel: visits the stored cells of
+    /// `local_region` one contiguous row-major run at a time, in ascending
+    /// offset order, as `visit(cells, start, outer)`. `cells` indexes the
+    /// run's cells in the chunk's `sums`/`counts`; `start` is the run's
+    /// first local offset; `outer` holds the run's coordinates on the
+    /// dimensions before the run dimension. Trailing dimensions the region
+    /// covers fully are merged into one run, but no dimension before
+    /// `merge_from`.
+    ///
+    /// A dense chunk's run is its offset range itself. A compressed chunk
+    /// finds each run's cells by binary search from a cursor that only moves
+    /// forward through its ascending `offsets`.
+    fn for_each_run(
+        &self,
+        shape: &[u32],
+        region: &Region,
+        merge_from: usize,
+        mut visit: impl FnMut(Range<usize>, usize, &[u32]),
+    ) {
+        match self {
+            Self::Dense { .. } => {
+                for_each_offset_run(shape, region, merge_from, |start, len, outer| {
+                    visit(start..start + len, start, outer)
+                })
             }
-            Self::Sparse {
-                offsets,
-                sums,
-                counts,
-            } => {
-                for (i, &off) in offsets.iter().enumerate() {
-                    let coords = coords_of(local_shape, off as usize);
-                    if local_region.contains(&coords) {
-                        let slot = out_base + (coords[axis] - axis_from) as usize;
-                        out[slot].sum += sums[i];
-                        out[slot].count += counts[i];
-                    }
-                }
+            Self::Sparse { offsets, .. } => {
+                let cells: usize = shape.iter().map(|&s| s as usize).product();
+                debug_assert!(
+                    offsets.windows(2).all(|w| w[0] < w[1])
+                        && offsets.last().is_none_or(|&o| (o as usize) < cells),
+                    "sparse chunk offsets must be strictly ascending and in range"
+                );
+                let mut pos = 0;
+                for_each_offset_run(shape, region, merge_from, |start, len, outer| {
+                    let first = pos + offsets[pos..].partition_point(|&o| (o as usize) < start);
+                    // Strictly ascending: at most `len` offsets fall in the run.
+                    let window = &offsets[first..offsets.len().min(first + len)];
+                    pos = first + window.partition_point(|&o| (o as usize) < start + len);
+                    visit(first..pos, start, outer);
+                });
             }
         }
     }
 }
 
-/// Streaming aggregation of a dense chunk: odometer over the outer
-/// dimensions, contiguous slice sum over the innermost one.
-fn dense_aggregate(sums: &[f64], counts: &[u64], shape: &[u32], region: &Region) -> CellAgg {
+/// Sums one run's cells into `agg`, cell by cell in order.
+#[inline]
+fn add_run(agg: &mut CellAgg, sums: &[f64], counts: &[u64]) {
+    for &v in sums {
+        agg.sum += v;
+    }
+    for &c in counts {
+        agg.count += c;
+    }
+}
+
+/// Visits the contiguous row-major runs of `region` within `shape` in
+/// ascending offset order, as `visit(start offset, length, outer)`.
+///
+/// The run dimension `k` is the first dimension, no earlier than
+/// `merge_from`, after which the region covers every dimension fully; a
+/// run spans the region's range on `k` and everything after it. `outer`
+/// holds the run's coordinates on the dimensions `0..k`, stepped by an
+/// odometer, last dimension fastest.
+fn for_each_offset_run(
+    shape: &[u32],
+    region: &Region,
+    merge_from: usize,
+    mut visit: impl FnMut(usize, usize, &[u32]),
+) {
     let ndim = shape.len();
-    let (inner_from, inner_to) = region.bounds[ndim - 1];
-    let inner_len = (inner_to - inner_from + 1) as usize;
-    let mut agg = CellAgg::default();
-    // Cursor over the outer dimensions (all but the last).
-    let mut cursor: Vec<u32> = region.bounds[..ndim - 1].iter().map(|&(f, _)| f).collect();
-    let mut coords = vec![0u32; ndim];
+    let mut k = ndim - 1;
+    while k > merge_from && region.bounds[k] == (0, shape[k] - 1) {
+        k -= 1;
+    }
+    let inner: usize = shape[k + 1..].iter().map(|&s| s as usize).product();
+    let (from, to) = region.bounds[k];
+    let len = (to - from + 1) as usize * inner;
+    let mut outer: Vec<u32> = region.bounds[..k].iter().map(|&(f, _)| f).collect();
     loop {
-        coords[..ndim - 1].copy_from_slice(&cursor);
-        coords[ndim - 1] = inner_from;
-        let base = linear_index(shape, &coords);
-        for &v in &sums[base..base + inner_len] {
-            agg.sum += v;
-        }
-        for &c in &counts[base..base + inner_len] {
-            agg.count += c;
-        }
-        // Odometer increment over outer dims, last-outer fastest.
-        let mut d = ndim - 1;
+        let row = outer
+            .iter()
+            .zip(shape)
+            .fold(0usize, |acc, (&c, &s)| acc * s as usize + c as usize);
+        visit(
+            (row * shape[k] as usize + from as usize) * inner,
+            len,
+            &outer,
+        );
+        let mut d = k;
         loop {
             if d == 0 {
-                return agg;
+                return;
             }
             d -= 1;
-            if cursor[d] < region.bounds[d].1 {
-                cursor[d] += 1;
+            if outer[d] < region.bounds[d].1 {
+                outer[d] += 1;
                 break;
             }
-            cursor[d] = region.bounds[d].0;
+            outer[d] = region.bounds[d].0;
         }
     }
 }
@@ -290,6 +353,7 @@ fn dense_aggregate(sums: &[f64], counts: &[u64], shape: &[u32], region: &Region)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::coords_of;
 
     fn dense_3x4() -> (Chunk, Vec<u32>) {
         // sums[i] = i, counts[i] = 1
@@ -391,6 +455,171 @@ mod tests {
             panic!("expected sparse");
         }
         assert_eq!(c.filled_cells(), 2);
+    }
+
+    /// The per-cell sparse kernels the run walker replaced, kept as its
+    /// oracle: every stored cell decoded to local coordinates and tested
+    /// against the region, in offset order.
+    fn per_cell_aggregate(chunk: &Chunk, shape: &[u32], region: &Region) -> CellAgg {
+        let Chunk::Sparse {
+            offsets,
+            sums,
+            counts,
+        } = chunk
+        else {
+            panic!("the oracle reads sparse chunks");
+        };
+        let mut agg = CellAgg::default();
+        for (i, &off) in offsets.iter().enumerate() {
+            let coords = coords_of(shape, off as usize);
+            if region.contains(&coords) {
+                agg.sum += sums[i];
+                agg.count += counts[i];
+            }
+        }
+        agg
+    }
+
+    /// [`per_cell_aggregate`]'s counterpart for [`Chunk::aggregate_along`].
+    fn per_cell_aggregate_along(
+        chunk: &Chunk,
+        shape: &[u32],
+        region: &Region,
+        axis: usize,
+        out: &mut [CellAgg],
+        out_base: usize,
+    ) {
+        let Chunk::Sparse {
+            offsets,
+            sums,
+            counts,
+        } = chunk
+        else {
+            panic!("the oracle reads sparse chunks");
+        };
+        let axis_from = region.bounds[axis].0;
+        for (i, &off) in offsets.iter().enumerate() {
+            let coords = coords_of(shape, off as usize);
+            if region.contains(&coords) {
+                let slot = out_base + (coords[axis] - axis_from) as usize;
+                out[slot].sum += sums[i];
+                out[slot].count += counts[i];
+            }
+        }
+    }
+
+    /// Minimal LCG for the randomised cases below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % u64::from(n)) as u32
+        }
+    }
+
+    /// A dense chunk of `shape` with roughly `fill_pct` % of its cells
+    /// filled with non-dyadic values (so summation order shows in the
+    /// bits), and the same cells in sparse form.
+    fn random_chunk(rng: &mut Lcg, shape: &[u32], fill_pct: u32) -> (Chunk, Chunk) {
+        let cells: u32 = shape.iter().product();
+        let mut dense = Chunk::dense_empty(cells as usize);
+        for off in 0..cells {
+            if rng.below(100) < fill_pct {
+                let sign = if off % 3 == 0 { -1.0 } else { 1.0 };
+                dense.add(off, sign * 0.1 * f64::from(off + 1), 1 + u64::from(off % 4));
+            }
+        }
+        let Chunk::Dense { sums, counts } = &dense else {
+            unreachable!()
+        };
+        let keep: Vec<usize> = (0..counts.len()).filter(|&i| counts[i] > 0).collect();
+        let sparse = Chunk::Sparse {
+            offsets: keep.iter().map(|&i| i as u32).collect(),
+            sums: keep.iter().map(|&i| sums[i]).collect(),
+            counts: keep.iter().map(|&i| counts[i]).collect(),
+        };
+        (dense, sparse)
+    }
+
+    /// Random regions of `shape`: the full region, single cells, regions
+    /// whose trailing dimensions are full (merged runs) and arbitrary boxes.
+    fn random_regions(rng: &mut Lcg, shape: &[u32]) -> Vec<Region> {
+        let mut regions = vec![Region::full(shape)];
+        for _ in 0..4 {
+            regions.push(Region::new(
+                shape
+                    .iter()
+                    .map(|&s| {
+                        let c = rng.below(s);
+                        (c, c)
+                    })
+                    .collect(),
+            ));
+            let full_from = rng.below(shape.len() as u32 + 1) as usize;
+            regions.push(Region::new(
+                shape
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &s)| {
+                        let f = rng.below(s);
+                        let t = f + rng.below(s - f);
+                        if d >= full_from {
+                            (0, s - 1)
+                        } else {
+                            (f, t)
+                        }
+                    })
+                    .collect(),
+            ));
+        }
+        regions
+    }
+
+    fn assert_bits_eq(got: CellAgg, want: CellAgg, what: &str) {
+        assert_eq!(got.count, want.count, "{what}: count");
+        assert_eq!(got.sum.to_bits(), want.sum.to_bits(), "{what}: sum bits");
+    }
+
+    #[test]
+    fn run_kernels_match_the_per_cell_oracle_bit_for_bit() {
+        let mut rng = Lcg(0x9e37_79b9_7f4a_7c15);
+        for case in 0..300 {
+            let ndim = 1 + case % 4;
+            let shape: Vec<u32> = (0..ndim).map(|_| 1 + rng.below(6)).collect();
+            let fill_pct = [0, 10, 39, 41, 80, 100][case % 6];
+            let (dense, sparse) = random_chunk(&mut rng, &shape, fill_pct);
+            for region in random_regions(&mut rng, &shape) {
+                let what = format!("shape {shape:?} fill {fill_pct}% region {region:?}");
+                let want = per_cell_aggregate(&sparse, &shape, &region);
+                assert_bits_eq(dense.aggregate(&shape, &region), want, &what);
+                assert_bits_eq(sparse.aggregate(&shape, &region), want, &what);
+                for axis in 0..ndim {
+                    let (from, to) = region.bounds[axis];
+                    let out_base = rng.below(3) as usize;
+                    let width = out_base + (to - from + 1) as usize;
+                    // Pre-filled slots: the kernels add into what is there.
+                    let start: Vec<CellAgg> = (0..width)
+                        .map(|i| CellAgg {
+                            sum: 0.3 * i as f64,
+                            count: i as u64,
+                        })
+                        .collect();
+                    let mut want = start.clone();
+                    per_cell_aggregate_along(&sparse, &shape, &region, axis, &mut want, out_base);
+                    for chunk in [&dense, &sparse] {
+                        let mut got = start.clone();
+                        chunk.aggregate_along(&shape, &region, axis, &mut got, out_base);
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_bits_eq(*g, *w, &format!("{what} axis {axis}"));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -348,20 +348,28 @@ impl MolapCube {
         }
     }
 
-    fn chunk_partial(&self, chunk_idx: usize, region: &Region) -> CellAgg {
+    /// Chunk `chunk_idx`'s global region, its local shape, and its
+    /// intersection with `region` in local coordinates — or `None` when the
+    /// two are disjoint. All three come from one [`ChunkGrid::chunk_region`].
+    fn local_view(&self, chunk_idx: usize, region: &Region) -> Option<(Region, Vec<u32>, Region)> {
         let chunk_region = self.grid.chunk_region(chunk_idx);
-        let inter = chunk_region
-            .intersect(region)
+        let ndim = region.ndim();
+        let (mut shape, mut local) = (Vec::with_capacity(ndim), Vec::with_capacity(ndim));
+        for (&(base, last), &(from, to)) in chunk_region.bounds.iter().zip(&region.bounds) {
+            let (from, to) = (from.max(base), to.min(last));
+            if from > to {
+                return None;
+            }
+            shape.push(last - base + 1);
+            local.push((from - base, to - base));
+        }
+        Some((chunk_region, shape, Region::new(local)))
+    }
+
+    fn chunk_partial(&self, chunk_idx: usize, region: &Region) -> CellAgg {
+        let (_, local_shape, local) = self
+            .local_view(chunk_idx, region)
             .expect("chunk selected but does not intersect region");
-        let local = Region::new(
-            inter
-                .bounds
-                .iter()
-                .zip(&chunk_region.bounds)
-                .map(|(&(f, t), &(base, _))| (f - base, t - base))
-                .collect(),
-        );
-        let local_shape = self.grid.chunk_local_shape(chunk_idx);
         self.chunks[chunk_idx].aggregate(&local_shape, &local)
     }
 
@@ -436,22 +444,13 @@ impl MolapCube {
         region: &Region,
         out: &mut [CellAgg],
     ) {
-        let chunk_region = self.grid.chunk_region(chunk_idx);
-        let Some(inter) = chunk_region.intersect(region) else {
+        let Some((chunk_region, local_shape, local)) = self.local_view(chunk_idx, region) else {
             return;
         };
-        let local = Region::new(
-            inter
-                .bounds
-                .iter()
-                .zip(&chunk_region.bounds)
-                .map(|(&(f, t), &(base, _))| (f - base, t - base))
-                .collect(),
-        );
-        let local_shape = self.grid.chunk_local_shape(chunk_idx);
         // Output base: where this chunk's slice of the axis starts within
         // the region's axis window.
-        let out_base = (inter.bounds[dim].0 - region.bounds[dim].0) as usize;
+        let out_base =
+            (chunk_region.bounds[dim].0 + local.bounds[dim].0 - region.bounds[dim].0) as usize;
         self.chunks[chunk_idx].aggregate_along(&local_shape, &local, dim, out, out_base);
     }
 
@@ -898,6 +897,33 @@ mod tests {
     #[test]
     fn scatter_matches_oracles_in_four_dimensions() {
         assert_matches_oracles(&lcg_table(&[&[2, 6], &[3, 66], &[1, 5], &[4, 8]], 3000));
+    }
+
+    #[test]
+    fn from_parts_rejects_unordered_or_out_of_range_offsets() {
+        let cube = MolapCube::build_empty_with_chunks(schema(), 1, 4);
+        let (schema, resolution, grid, _) = cube.parts();
+        let cells = grid.chunk_cells(0) as u32;
+        let sparse = |offsets: Vec<u32>| Chunk::Sparse {
+            sums: vec![1.0; offsets.len()],
+            counts: vec![1; offsets.len()],
+            offsets,
+        };
+        let valid = |_: usize| sparse(vec![0, 3, cells - 1]);
+        let build = |first: Chunk| {
+            let chunks = std::iter::once(first)
+                .chain((1..grid.chunk_count()).map(valid))
+                .collect();
+            MolapCube::from_parts(schema.clone(), resolution, grid.clone(), chunks)
+        };
+        assert!(build(valid(0)).is_ok());
+        for (what, offsets) in [
+            ("descending", vec![5, 2]),
+            ("duplicated", vec![2, 2]),
+            ("out of range", vec![1, cells]),
+        ] {
+            assert!(build(sparse(offsets)).is_err(), "{what} offsets accepted");
+        }
     }
 
     #[test]

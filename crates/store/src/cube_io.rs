@@ -53,26 +53,31 @@ pub fn save_cube(path: &Path, cube: &MolapCube) -> Result<(), StoreError> {
     w.put_u64(chunks.len() as u64);
     w.end_section(); // chunk count
     for chunk in chunks {
-        match chunk {
-            Chunk::Dense { sums, counts } => {
-                w.put_u8(CHUNK_DENSE);
-                w.put_f64_array(sums);
-                w.put_u64_array(counts);
-            }
-            Chunk::Sparse {
-                offsets,
-                sums,
-                counts,
-            } => {
-                w.put_u8(CHUNK_SPARSE);
-                w.put_u32_array(offsets);
-                w.put_f64_array(sums);
-                w.put_u64_array(counts);
-            }
-        }
-        w.end_section(); // one section per chunk: corruption names it
+        put_chunk(&mut w, chunk);
     }
     w.finish(path)
+}
+
+/// Writes one chunk as its own section, so corruption names it.
+fn put_chunk(w: &mut Writer, chunk: &Chunk) {
+    match chunk {
+        Chunk::Dense { sums, counts } => {
+            w.put_u8(CHUNK_DENSE);
+            w.put_f64_array(sums);
+            w.put_u64_array(counts);
+        }
+        Chunk::Sparse {
+            offsets,
+            sums,
+            counts,
+        } => {
+            w.put_u8(CHUNK_SPARSE);
+            w.put_u32_array(offsets);
+            w.put_f64_array(sums);
+            w.put_u64_array(counts);
+        }
+    }
+    w.end_section();
 }
 
 /// Loads a cube.
@@ -265,6 +270,40 @@ mod tests {
             assert!(
                 matches!(load_cube(&path), Err(StoreError::Invalid(_))),
                 "{g:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unordered_or_out_of_range_sparse_offsets_are_invalid() {
+        let path = temp("offsets");
+        let mut c = cube();
+        c.compress();
+        let (schema, resolution, grid, chunks) = c.parts();
+        let cells = grid.chunk_local_shape(0).iter().product::<u32>();
+        for (what, offsets) in [
+            ("descending", vec![4, 1]),
+            ("duplicated", vec![3, 3]),
+            ("out of range", vec![0, cells]),
+        ] {
+            // A well-formed file (valid section CRCs and digest) whose first
+            // chunk carries the bad offsets.
+            let mut w = header(schema, resolution, grid);
+            w.put_u64(chunks.len() as u64);
+            w.end_section();
+            let bad = Chunk::Sparse {
+                offsets,
+                sums: vec![1.0, 2.0],
+                counts: vec![1, 1],
+            };
+            for chunk in std::iter::once(&bad).chain(&chunks[1..]) {
+                put_chunk(&mut w, chunk);
+            }
+            w.finish(&path).unwrap();
+            assert!(
+                matches!(load_cube(&path), Err(StoreError::Invalid(_))),
+                "{what} offsets"
             );
         }
         std::fs::remove_file(&path).ok();

@@ -164,3 +164,139 @@ fn region_count_bounded_two_entries_in_one_cell() {
     assert_eq!(cube.aggregate_seq(&Region::full(cube.shape())).count, 2);
     assert_region_count_bounded(&cube, &entries, 13006516476783170883);
 }
+
+/// Entries of one generated n-dimensional cube: `(coords, value)` per
+/// added row.
+type NdEntries = Vec<(Vec<u32>, f64)>;
+
+/// A random 1–4-D cube, one level per dimension, whose chunk side divides
+/// no extent (so every dimension has a smaller edge chunk). Each cell holds
+/// rows with probability `fill`, one or two of them.
+fn random_nd_cube(rng: &mut Rng, fill: f64) -> (MolapCube, NdEntries) {
+    let ndim = rng.gen_range(1usize..=4);
+    let side = rng.gen_range(2u32..=4);
+    let max_chunks: u32 = if ndim > 2 { 2 } else { 4 };
+    let shape: Vec<u32> = (0..ndim)
+        .map(|_| side * rng.gen_range(1..=max_chunks) + rng.gen_range(1..side))
+        .collect();
+    let mut builder = TableSchema::builder();
+    for (d, &extent) in shape.iter().enumerate() {
+        builder = builder.dimension(&format!("d{d}"), &[("l0", extent)]);
+    }
+    let schema = CubeSchema::from_table_schema(&builder.measure("m").build());
+    let mut cube = MolapCube::build_empty_with_chunks(schema, 0, side);
+    let mut entries = NdEntries::new();
+    let cells = shape.iter().product::<u32>();
+    for idx in 0..cells {
+        if !rng.gen_bool(fill) {
+            continue;
+        }
+        let mut rest = idx;
+        let mut coords = vec![0; ndim];
+        for d in (0..ndim).rev() {
+            coords[d] = rest % shape[d];
+            rest /= shape[d];
+        }
+        for _ in 0..rng.gen_range(1u32..=2) {
+            let v = rng.gen_range(-100.0..100.0);
+            cube.add(&coords, v, 1);
+            entries.push((coords.clone(), v));
+        }
+    }
+    (cube, entries)
+}
+
+/// Random regions of `shape`: the full region, single cells, and boxes
+/// whose dimensions from a random one on are full (the merged-run path).
+fn random_regions(rng: &mut Rng, shape: &[u32]) -> Vec<Region> {
+    let mut regions = vec![Region::full(shape)];
+    for _ in 0..3 {
+        regions.push(Region::new(
+            shape
+                .iter()
+                .map(|&s| {
+                    let c = rng.gen_range(0..s);
+                    (c, c)
+                })
+                .collect(),
+        ));
+        let full_from = rng.gen_range(0..=shape.len());
+        regions.push(Region::new(
+            shape
+                .iter()
+                .enumerate()
+                .map(|(d, &s)| {
+                    if d >= full_from {
+                        (0, s - 1)
+                    } else {
+                        let f = rng.gen_range(0..s);
+                        (f, rng.gen_range(f..s))
+                    }
+                })
+                .collect(),
+        ));
+    }
+    regions
+}
+
+/// Brute-force `(count, sum)` over the entries inside `region` whose
+/// `axis` coordinate (if any) is `at`.
+fn brute_force(entries: &NdEntries, region: &Region, along: Option<(usize, u32)>) -> (u64, f64) {
+    let inside = entries
+        .iter()
+        .filter(|(c, _)| region.contains(c) && along.is_none_or(|(axis, at)| c[axis] == at));
+    inside.fold((0, 0.0), |(n, s), (_, v)| (n + 1, s + v))
+}
+
+fn assert_close(got: (u64, f64), want: (u64, f64), what: &str) {
+    assert_eq!(got.0, want.0, "{what}: count");
+    assert!(
+        (got.1 - want.1).abs() < 1e-9 * (1.0 + want.1.abs()),
+        "{what}: sum {} vs brute force {}",
+        got.1,
+        want.1
+    );
+}
+
+/// Compressed and uncompressed cubes give identical answers on every
+/// aggregation path, and both match brute force over the entries — with
+/// edge chunks, on fills either side of the 40 % compression threshold.
+#[test]
+fn compressed_cubes_answer_like_dense_ones_on_subregions() {
+    check(128, |rng| {
+        let fill = [0.1, 0.3, 0.5, 0.9][rng.gen_range(0..4usize)];
+        let (dense, entries) = random_nd_cube(rng, fill);
+        let mut compressed = dense.clone();
+        compressed.compress();
+        let shape = dense.shape().to_vec();
+        for region in random_regions(rng, &shape) {
+            let what = format!("shape {shape:?} fill {fill} region {region:?}");
+            let want = brute_force(&entries, &region, None);
+            for cube in [&dense, &compressed] {
+                let seq = cube.aggregate_seq(&region);
+                assert_close((seq.count, seq.sum), want, &what);
+            }
+            assert_eq!(
+                compressed.aggregate_seq(&region),
+                dense.aggregate_seq(&region),
+                "{what}"
+            );
+            assert_eq!(
+                compressed.aggregate_par(&region),
+                dense.aggregate_par(&region),
+                "{what}"
+            );
+            for axis in 0..shape.len() {
+                let seq = dense.aggregate_along_seq(axis, &region);
+                let par = dense.aggregate_along_par(axis, &region);
+                assert_eq!(compressed.aggregate_along_seq(axis, &region), seq, "{what}");
+                assert_eq!(compressed.aggregate_along_par(axis, &region), par, "{what}");
+                for (i, agg) in seq.iter().enumerate() {
+                    let at = region.bounds[axis].0 + i as u32;
+                    let want = brute_force(&entries, &region, Some((axis, at)));
+                    assert_close((agg.count, agg.sum), want, &format!("{what} axis {axis}"));
+                }
+            }
+        }
+    });
+}
