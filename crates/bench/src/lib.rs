@@ -33,6 +33,32 @@ pub fn write_report(path: &str, report: &Json) {
     eprintln!("wrote {path}");
 }
 
+/// The host a measurement ran on: `nproc` (available parallelism), the
+/// `rustc` release and the source revision (`git describe --always
+/// --dirty`), each `"unknown"` when it cannot be read.
+pub fn host_fingerprint() -> Json {
+    let run = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map_or_else(
+                || "unknown".to_owned(),
+                |o| String::from_utf8_lossy(&o.stdout).trim().to_owned(),
+            )
+    };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Json::obj([
+        ("nproc", nproc.into()),
+        ("rustc", run("rustc", &["--version"]).into()),
+        (
+            "commit",
+            run("git", &["describe", "--always", "--dirty"]).into(),
+        ),
+    ])
+}
+
 /// One point of a host-measured figure series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {

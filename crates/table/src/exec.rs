@@ -1,5 +1,5 @@
 //! The vectorized scan executor: batch-at-a-time predicate evaluation over
-//! selection vectors, zone-map block skipping, and packed-key grouping.
+//! selection vectors, zone-map block skipping, and slot-array grouping.
 //!
 //! This is the one engine behind [`FactTable::scan_seq`],
 //! [`FactTable::scan_par`], [`FactTable::group_by_seq`] and
@@ -24,8 +24,17 @@
 //! rest compact it in place. Aggregation walks the surviving indices in row
 //! order — the same floating-point accumulation order as the scalar
 //! reference, so sequential results are bit-identical.
+//!
+//! A grouped scan keeps its groups as per-slot arrays ([`GroupAcc`]): a row
+//! count per slot, and a sum/min/max per slot for each distinct measure
+//! column; every aggregate's `count` is the slot's row count. A single
+//! small-domain key is its own slot (the arrays span the column's zone-map
+//! maximum); wider keys are packed into a `u64` or hashed as a tuple, and
+//! the map hands out slot ids. Each batch then runs one fused pass over its
+//! matching rows — read the key, bump the row count, fold the measure —
+//! with no per-row dispatch on the key path or the aggregate list.
 
-use crate::scan::{AggResult, AggValue, ScanQuery, SetPredicate};
+use crate::scan::{AggOp, AggResult, AggValue, ScanQuery, SetPredicate};
 use crate::schema::ColumnId;
 use crate::table::FactTable;
 use crate::zone::ZoneMaps;
@@ -46,7 +55,8 @@ const _: () = assert!(BLOCK_ROWS.is_multiple_of(BATCH_ROWS));
 /// for (2^22 bits = 512 KiB of words). Larger domains keep binary search.
 pub const BITMAP_MAX_BITS: u64 = 1 << 22;
 
-/// Largest single-column domain the group-by uses a dense slot index for.
+/// Largest single-column domain the group-by uses the key code as its
+/// slot for.
 const DENSE_GROUP_MAX: u64 = 1 << 16;
 
 /// One compiled conjunct bound to its physical column.
@@ -177,7 +187,7 @@ impl Filter<'_> {
 pub(crate) struct CompiledScan<'t> {
     filters: Vec<Filter<'t>>,
     agg_cols: Vec<Option<&'t [f64]>>,
-    ops: Vec<crate::scan::AggOp>,
+    ops: Vec<AggOp>,
     weight: f64,
     /// The conjunction provably matches no row; execution returns the
     /// empty result without visiting any block.
@@ -289,15 +299,16 @@ impl<'t> CompiledScan<'t> {
         }
     }
 
-    /// Scans `[start, end)` (with `start` batch-aligned), accumulating into
-    /// `acc`. Row order is preserved, so accumulation order matches the
-    /// scalar reference exactly.
-    pub(crate) fn scan_range(
+    /// Walks `[start, end)` (with `start` batch-aligned) one batch at a
+    /// time and hands `visit` each batch's matching rows, in row order.
+    /// Zone maps skip a batch or elide its filters; the remaining filters
+    /// fill and compact the selection vector.
+    fn for_each_batch(
         &self,
         zones: &ZoneMaps,
         start: usize,
         end: usize,
-        acc: &mut AggResult,
+        mut visit: impl FnMut(Matched<'_>),
     ) {
         debug_assert_eq!(start % BATCH_ROWS, 0);
         if self.empty || start >= end {
@@ -306,8 +317,7 @@ impl<'t> CompiledScan<'t> {
         let mut sel = vec![0u32; BATCH_ROWS];
         let mut active: Vec<&Filter<'_>> = Vec::with_capacity(self.filters.len());
         let mut batch_start = start;
-        let (mut scanned, mut skipped, mut elided) = (0u64, 0u64, 0u64);
-        let matched_before = acc.matched_rows;
+        let (mut scanned, mut skipped, mut elided, mut matched) = (0u64, 0u64, 0u64, 0u64);
         while batch_start < end {
             let batch_end = (batch_start + BATCH_ROWS).min(end);
             let block = batch_start / BATCH_ROWS;
@@ -331,19 +341,9 @@ impl<'t> CompiledScan<'t> {
             scanned += 1;
             elided += (self.filters.len() - active.len()) as u64;
             if active.is_empty() {
-                // Every row of the batch matches: aggregate the contiguous
-                // window without materialising a selection vector.
-                acc.matched_rows += (batch_end - batch_start) as u64;
-                for (val, col) in acc.values.iter_mut().zip(&self.agg_cols) {
-                    match col {
-                        Some(c) => {
-                            for &m in &c[batch_start..batch_end] {
-                                val.accumulate(m * self.weight);
-                            }
-                        }
-                        None => val.count += (batch_end - batch_start) as u64,
-                    }
-                }
+                // Every row of the batch matches: no selection vector.
+                matched += (batch_end - batch_start) as u64;
+                visit(Matched::Window(batch_start..batch_end));
             } else {
                 let mut n = active[0].eval_init(batch_start, batch_end, &mut sel);
                 for f in &active[1..] {
@@ -352,34 +352,74 @@ impl<'t> CompiledScan<'t> {
                     }
                     n = f.eval_compact(&mut sel, n);
                 }
-                acc.matched_rows += n as u64;
-                for (val, col) in acc.values.iter_mut().zip(&self.agg_cols) {
-                    match col {
-                        Some(c) => {
-                            for &idx in &sel[..n] {
-                                val.accumulate(c[idx as usize] * self.weight);
-                            }
-                        }
-                        None => val.count += n as u64,
-                    }
+                if n > 0 {
+                    matched += n as u64;
+                    visit(Matched::Rows(&sel[..n]));
                 }
             }
             batch_start = batch_end;
         }
-        crate::telemetry::flush(scanned, skipped, elided, acc.matched_rows - matched_before);
+        crate::telemetry::flush(scanned, skipped, elided, matched);
+    }
+
+    /// Scans `[start, end)` (with `start` batch-aligned), accumulating into
+    /// `acc`. Row order is preserved, so accumulation order matches the
+    /// scalar reference exactly.
+    pub(crate) fn scan_range(
+        &self,
+        zones: &ZoneMaps,
+        start: usize,
+        end: usize,
+        acc: &mut AggResult,
+    ) {
+        self.for_each_batch(zones, start, end, |m| {
+            acc.matched_rows += m.len() as u64;
+            for (val, col) in acc.values.iter_mut().zip(&self.agg_cols) {
+                match (col, &m) {
+                    (Some(c), Matched::Window(w)) => {
+                        for &v in &c[w.clone()] {
+                            val.accumulate(v * self.weight);
+                        }
+                    }
+                    (Some(c), Matched::Rows(sel)) => {
+                        for &idx in *sel {
+                            val.accumulate(c[idx as usize] * self.weight);
+                        }
+                    }
+                    (None, _) => val.count += m.len() as u64,
+                }
+            }
+        });
     }
 }
 
-/// How group keys are indexed.
+/// The rows of one batch that pass every filter, ascending.
+enum Matched<'a> {
+    /// The zone maps proved every row of the window matches.
+    Window(std::ops::Range<usize>),
+    /// The selection vector: indices of the matching rows.
+    Rows(&'a [u32]),
+}
+
+impl Matched<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Matched::Window(w) => w.len(),
+            Matched::Rows(sel) => sel.len(),
+        }
+    }
+}
+
+/// How group keys map to slots.
 enum GroupPath {
-    /// Single key column with a small domain: slots addressed by a dense
-    /// per-code index — no hashing at all.
-    Dense { cardinality: usize },
-    /// Combined key bits fit in a `u64`: per-row keys packed by shifting,
-    /// probed in a `u64`-keyed map (no per-row allocation).
+    /// Single key column with a small domain: the slot is the key code
+    /// itself, over `0..slots` (the column's table-wide maximum + 1).
+    Dense { slots: usize },
+    /// Combined key bits fit in a `u64`: keys packed by shifting, probed
+    /// in a `u64`-keyed map (no per-row allocation).
     Packed { bits: Vec<u32> },
-    /// Fallback for keys wider than 64 bits: `Vec<u32>` keys (the scalar
-    /// reference's representation; the key is cloned only once per group).
+    /// Fallback for keys wider than 64 bits: `Vec<u32>`-keyed map (the
+    /// key is cloned only once per group).
     Hashed,
 }
 
@@ -388,6 +428,12 @@ pub(crate) struct CompiledGroupBy<'t> {
     pub(crate) scan: CompiledScan<'t>,
     key_cols: Vec<&'t [u32]>,
     path: GroupPath,
+    /// The distinct measure columns the aggregates read, each accumulated
+    /// once however many aggregates share it.
+    measures: Vec<&'t [f64]>,
+    /// Per aggregate: its operator and its index into `measures`
+    /// (`None` for `COUNT(*)`).
+    aggs: Vec<(AggOp, Option<usize>)>,
 }
 
 impl<'t> CompiledGroupBy<'t> {
@@ -411,199 +457,53 @@ impl<'t> CompiledGroupBy<'t> {
             .map(|&c| 64 - (c - 1).leading_zeros().min(64))
             .collect();
         let path = if cards.len() == 1 && cards[0] <= DENSE_GROUP_MAX {
+            let ColumnId::Dim { dim, level } = q.group_by[0] else {
+                unreachable!("validated group column");
+            };
+            let zone_idx = table
+                .schema()
+                .dim_column_index(dim, level)
+                .expect("validated");
+            let bounds = table.zone_maps().column(zone_idx).bounds();
             GroupPath::Dense {
-                cardinality: cards[0] as usize,
+                slots: bounds.map_or(0, |(_, max)| max as usize + 1),
             }
         } else if bits.iter().sum::<u32>() <= 64 {
             GroupPath::Packed { bits }
         } else {
             GroupPath::Hashed
         };
+        let mut measure_ids: Vec<usize> = Vec::new();
+        let aggs = q
+            .scan
+            .aggregates
+            .iter()
+            .map(|a| {
+                let measure = a.measure.map(|m| {
+                    measure_ids
+                        .iter()
+                        .position(|&id| id == m)
+                        .unwrap_or_else(|| {
+                            measure_ids.push(m);
+                            measure_ids.len() - 1
+                        })
+                });
+                (a.op, measure)
+            })
+            .collect();
+        let measures = measure_ids
+            .iter()
+            .map(|&m| table.measure_column(m))
+            .collect();
         Self {
             scan,
             key_cols,
             path,
+            measures,
+            aggs,
         }
     }
 
-    fn pack_key(&self, bits: &[u32], row: usize) -> u64 {
-        let mut key = 0u64;
-        for (col, &b) in self.key_cols.iter().zip(bits) {
-            key = (key << b) | u64::from(col[row]);
-        }
-        key
-    }
-}
-
-/// One group under construction.
-struct Slot {
-    key: Vec<u32>,
-    values: Vec<AggValue>,
-    rows: u64,
-}
-
-/// Per-worker grouping accumulator (the fold state of the parallel
-/// `fold`+`reduce` grouped scan).
-pub(crate) struct GroupAcc {
-    matched: u64,
-    slots: Vec<Slot>,
-    /// `Dense`: code → slot index (`u32::MAX` = vacant).
-    dense: Vec<u32>,
-    /// `Packed`: packed key → slot index.
-    packed: HashMap<u64, u32>,
-    /// `Hashed`: full key → slot index.
-    hashed: HashMap<Vec<u32>, u32>,
-}
-
-impl GroupAcc {
-    pub(crate) fn new(g: &CompiledGroupBy<'_>) -> Self {
-        let dense = match g.path {
-            GroupPath::Dense { cardinality } => vec![u32::MAX; cardinality],
-            _ => Vec::new(),
-        };
-        Self {
-            matched: 0,
-            slots: Vec::new(),
-            dense,
-            packed: HashMap::new(),
-            hashed: HashMap::new(),
-        }
-    }
-
-    fn new_slot(g: &CompiledGroupBy<'_>, key: Vec<u32>) -> Slot {
-        Slot {
-            key,
-            values: g.scan.ops.iter().map(|&op| AggValue::empty(op)).collect(),
-            rows: 0,
-        }
-    }
-
-    /// Finds or creates the slot for the group `row` belongs to.
-    #[inline]
-    fn slot_for_row(&mut self, g: &CompiledGroupBy<'_>, row: usize) -> usize {
-        match &g.path {
-            GroupPath::Dense { .. } => {
-                let code = g.key_cols[0][row] as usize;
-                let s = self.dense[code];
-                if s != u32::MAX {
-                    s as usize
-                } else {
-                    let s = self.slots.len();
-                    self.dense[code] = s as u32;
-                    self.slots.push(Self::new_slot(g, vec![code as u32]));
-                    s
-                }
-            }
-            GroupPath::Packed { bits } => {
-                let key = g.pack_key(bits, row);
-                if let Some(&s) = self.packed.get(&key) {
-                    s as usize
-                } else {
-                    let s = self.slots.len();
-                    self.packed.insert(key, s as u32);
-                    let full: Vec<u32> = g.key_cols.iter().map(|c| c[row]).collect();
-                    self.slots.push(Self::new_slot(g, full));
-                    s
-                }
-            }
-            GroupPath::Hashed => {
-                let full: Vec<u32> = g.key_cols.iter().map(|c| c[row]).collect();
-                if let Some(&s) = self.hashed.get(&full) {
-                    s as usize
-                } else {
-                    let s = self.slots.len();
-                    self.hashed.insert(full.clone(), s as u32);
-                    self.slots.push(Self::new_slot(g, full));
-                    s
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn accumulate_row(&mut self, g: &CompiledGroupBy<'_>, row: usize) {
-        self.matched += 1;
-        let s = self.slot_for_row(g, row);
-        let slot = &mut self.slots[s];
-        slot.rows += 1;
-        for (val, col) in slot.values.iter_mut().zip(&g.scan.agg_cols) {
-            match col {
-                Some(c) => val.accumulate(c[row] * g.scan.weight),
-                None => val.accumulate_count(),
-            }
-        }
-    }
-
-    /// Merges `other` into `self` (the reduce step).
-    pub(crate) fn merge(&mut self, g: &CompiledGroupBy<'_>, other: Self) {
-        self.matched += other.matched;
-        for slot in other.slots {
-            let s = match &g.path {
-                GroupPath::Dense { .. } => {
-                    let code = slot.key[0] as usize;
-                    let s = self.dense[code];
-                    if s != u32::MAX {
-                        s as usize
-                    } else {
-                        let s = self.slots.len();
-                        self.dense[code] = s as u32;
-                        self.slots.push(Self::new_slot(g, slot.key.clone()));
-                        s
-                    }
-                }
-                GroupPath::Packed { bits } => {
-                    let mut key = 0u64;
-                    for (&coord, &b) in slot.key.iter().zip(bits) {
-                        key = (key << b) | u64::from(coord);
-                    }
-                    if let Some(&s) = self.packed.get(&key) {
-                        s as usize
-                    } else {
-                        let s = self.slots.len();
-                        self.packed.insert(key, s as u32);
-                        self.slots.push(Self::new_slot(g, slot.key.clone()));
-                        s
-                    }
-                }
-                GroupPath::Hashed => {
-                    if let Some(&s) = self.hashed.get(&slot.key) {
-                        s as usize
-                    } else {
-                        let s = self.slots.len();
-                        self.hashed.insert(slot.key.clone(), s as u32);
-                        self.slots.push(Self::new_slot(g, slot.key.clone()));
-                        s
-                    }
-                }
-            };
-            let mine = &mut self.slots[s];
-            mine.rows += slot.rows;
-            for (a, b) in mine.values.iter_mut().zip(&slot.values) {
-                a.merge(b);
-            }
-        }
-    }
-
-    /// Sorts the groups by key and produces the final result.
-    pub(crate) fn finish(self) -> crate::groupby::GroupedResult {
-        let mut groups: Vec<crate::groupby::Group> = self
-            .slots
-            .into_iter()
-            .map(|s| crate::groupby::Group {
-                key: s.key,
-                values: s.values,
-                rows: s.rows,
-            })
-            .collect();
-        groups.sort_by(|a, b| a.key.cmp(&b.key));
-        crate::groupby::GroupedResult {
-            groups,
-            matched_rows: self.matched,
-        }
-    }
-}
-
-impl CompiledGroupBy<'_> {
     /// Grouped scan of `[start, end)` (with `start` batch-aligned),
     /// accumulating into `acc` in row order.
     pub(crate) fn scan_range(
@@ -613,55 +513,245 @@ impl CompiledGroupBy<'_> {
         end: usize,
         acc: &mut GroupAcc,
     ) {
-        debug_assert_eq!(start % BATCH_ROWS, 0);
-        if self.scan.empty || start >= end {
+        let mut slots: Vec<u32> = Vec::new();
+        let mut key = vec![0u32; self.key_cols.len()];
+        self.scan.for_each_batch(zones, start, end, |m| {
+            acc.matched += m.len() as u64;
+            match (&self.path, m) {
+                (GroupPath::Dense { .. }, Matched::Window(w)) => {
+                    let codes = self.key_cols[0];
+                    acc.fold(self, w.map(|row| (row, codes[row] as usize)));
+                }
+                (GroupPath::Dense { .. }, Matched::Rows(sel)) => {
+                    let codes = self.key_cols[0];
+                    acc.fold(
+                        self,
+                        sel.iter()
+                            .map(|&i| (i as usize, codes[i as usize] as usize)),
+                    );
+                }
+                (_, Matched::Window(w)) => self.fold_mapped(acc, w, &mut key, &mut slots),
+                (_, Matched::Rows(sel)) => {
+                    let rows = sel.iter().map(|&i| i as usize);
+                    self.fold_mapped(acc, rows, &mut key, &mut slots);
+                }
+            }
+        });
+    }
+
+    /// The Packed/Hashed batch step: probe each row's slot into `slots`,
+    /// then run the same fused fold as the dense path.
+    fn fold_mapped(
+        &self,
+        acc: &mut GroupAcc,
+        rows: impl Iterator<Item = usize> + Clone,
+        key: &mut [u32],
+        slots: &mut Vec<u32>,
+    ) {
+        slots.clear();
+        for row in rows.clone() {
+            for (k, col) in key.iter_mut().zip(&self.key_cols) {
+                *k = col[row];
+            }
+            slots.push(acc.slot_for_key(self, key));
+        }
+        acc.fold(self, rows.zip(slots.iter().map(|&s| s as usize)));
+    }
+}
+
+/// Running SUM/MIN/MAX of one measure column within one group.
+#[derive(Clone, Copy)]
+struct Moments {
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Moments {
+    const EMPTY: Self = Self {
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    /// Adds one (weighted) value — [`AggValue::accumulate`]'s arithmetic:
+    /// a tie never replaces the running extreme, so the first row wins.
+    #[inline(always)]
+    fn add(&mut self, v: f64) {
+        self.sum += v;
+        if v < self.min {
+            self.min = v;
+        }
+        if v > self.max {
+            self.max = v;
+        }
+    }
+
+    /// Appends the moments of later rows: the earlier extreme wins ties,
+    /// as it would have in one row-order pass.
+    fn merge(&mut self, later: &Self) {
+        self.sum += later.sum;
+        if later.min < self.min {
+            self.min = later.min;
+        }
+        if later.max > self.max {
+            self.max = later.max;
+        }
+    }
+}
+
+/// Per-worker grouping accumulator (the fold state of the parallel
+/// `fold`+`reduce` grouped scan), held as per-slot arrays.
+pub(crate) struct GroupAcc {
+    matched: u64,
+    /// Matched rows per slot — also every aggregate's `count`.
+    rows: Vec<u64>,
+    /// Per distinct measure column, per slot.
+    moments: Vec<Vec<Moments>>,
+    /// Packed/Hashed: the key of each slot.
+    keys: Vec<Vec<u32>>,
+    /// `Packed`: packed key → slot.
+    packed: HashMap<u64, u32>,
+    /// `Hashed`: full key → slot.
+    hashed: HashMap<Vec<u32>, u32>,
+}
+
+impl GroupAcc {
+    pub(crate) fn new(g: &CompiledGroupBy<'_>) -> Self {
+        let slots = match g.path {
+            GroupPath::Dense { slots } => slots,
+            _ => 0,
+        };
+        Self {
+            matched: 0,
+            rows: vec![0; slots],
+            moments: vec![vec![Moments::EMPTY; slots]; g.measures.len()],
+            keys: Vec::new(),
+            packed: HashMap::new(),
+            hashed: HashMap::new(),
+        }
+    }
+
+    /// The fused kernel: one pass over `(row, slot)` pairs, in row order,
+    /// that bumps the slot's row count and folds the first measure; any
+    /// further measure gets a pass of its own.
+    #[inline(always)]
+    fn fold(
+        &mut self,
+        g: &CompiledGroupBy<'_>,
+        pairs: impl Iterator<Item = (usize, usize)> + Clone,
+    ) {
+        let rows = self.rows.as_mut_slice();
+        let weight = g.scan.weight;
+        match (g.measures.as_slice(), self.moments.as_mut_slice()) {
+            ([first, more @ ..], [acc, accs @ ..]) => {
+                for (row, s) in pairs.clone() {
+                    rows[s] += 1;
+                    acc[s].add(first[row] * weight);
+                }
+                for (col, acc) in more.iter().zip(accs) {
+                    for (row, s) in pairs.clone() {
+                        acc[s].add(col[row] * weight);
+                    }
+                }
+            }
+            _ => {
+                for (_, s) in pairs {
+                    rows[s] += 1;
+                }
+            }
+        }
+    }
+
+    /// Packed/Hashed: finds or creates the slot of `key`.
+    fn slot_for_key(&mut self, g: &CompiledGroupBy<'_>, key: &[u32]) -> u32 {
+        let next = self.keys.len() as u32;
+        let slot = match &g.path {
+            GroupPath::Packed { bits } => {
+                let packed = key
+                    .iter()
+                    .zip(bits)
+                    .fold(0u64, |acc, (&coord, &b)| (acc << b) | u64::from(coord));
+                *self.packed.entry(packed).or_insert(next)
+            }
+            GroupPath::Hashed => match self.hashed.get(key) {
+                Some(&s) => s,
+                None => {
+                    self.hashed.insert(key.to_vec(), next);
+                    next
+                }
+            },
+            GroupPath::Dense { .. } => unreachable!("dense slots are key codes"),
+        };
+        if slot == next {
+            self.keys.push(key.to_vec());
+            self.rows.push(0);
+            for m in &mut self.moments {
+                m.push(Moments::EMPTY);
+            }
+        }
+        slot
+    }
+
+    /// Merges `other`, which covers later rows, into `self` (the reduce
+    /// step).
+    pub(crate) fn merge(&mut self, g: &CompiledGroupBy<'_>, other: Self) {
+        if self.matched == 0 {
+            // `self` holds no group (e.g. the reduce's starting identity).
+            *self = other;
             return;
         }
-        let mut sel = vec![0u32; BATCH_ROWS];
-        let mut active: Vec<&Filter<'_>> = Vec::with_capacity(self.scan.filters.len());
-        let mut batch_start = start;
-        let (mut scanned, mut skipped, mut elided) = (0u64, 0u64, 0u64);
-        let matched_before = acc.matched;
-        while batch_start < end {
-            let batch_end = (batch_start + BATCH_ROWS).min(end);
-            let block = batch_start / BATCH_ROWS;
-            active.clear();
-            let mut skip = false;
-            for f in &self.scan.filters {
-                match f.zone_decision(zones, block) {
-                    ZoneDecision::Skip => {
-                        skip = true;
-                        break;
-                    }
-                    ZoneDecision::AllMatch => {}
-                    ZoneDecision::Eval => active.push(f),
-                }
+        self.matched += other.matched;
+        for s in 0..other.rows.len() {
+            if other.rows[s] == 0 {
+                continue; // a vacant dense code
             }
-            if skip {
-                skipped += 1;
-                batch_start = batch_end;
-                continue;
+            let t = match g.path {
+                GroupPath::Dense { .. } => s,
+                _ => self.slot_for_key(g, &other.keys[s]) as usize,
+            };
+            self.rows[t] += other.rows[s];
+            for (mine, theirs) in self.moments.iter_mut().zip(&other.moments) {
+                mine[t].merge(&theirs[s]);
             }
-            scanned += 1;
-            elided += (self.scan.filters.len() - active.len()) as u64;
-            if active.is_empty() {
-                for row in batch_start..batch_end {
-                    acc.accumulate_row(self, row);
-                }
-            } else {
-                let mut n = active[0].eval_init(batch_start, batch_end, &mut sel);
-                for f in &active[1..] {
-                    if n == 0 {
-                        break;
-                    }
-                    n = f.eval_compact(&mut sel, n);
-                }
-                for &idx in &sel[..n] {
-                    acc.accumulate_row(self, idx as usize);
-                }
-            }
-            batch_start = batch_end;
         }
-        crate::telemetry::flush(scanned, skipped, elided, acc.matched - matched_before);
+    }
+
+    /// Produces the final result: the occupied slots as groups in key
+    /// order, each aggregate's `count` taken from its slot's rows.
+    pub(crate) fn finish(mut self, g: &CompiledGroupBy<'_>) -> crate::groupby::GroupedResult {
+        let dense = matches!(g.path, GroupPath::Dense { .. });
+        let mut groups: Vec<crate::groupby::Group> = (0..self.rows.len())
+            .filter(|&s| self.rows[s] > 0)
+            .map(|s| {
+                let rows = self.rows[s];
+                let values = g
+                    .aggs
+                    .iter()
+                    .map(|&(op, measure)| {
+                        let mut v = AggValue::empty(op);
+                        v.count = rows;
+                        if let Some(j) = measure {
+                            let m = self.moments[j][s];
+                            (v.sum, v.min, v.max) = (m.sum, m.min, m.max);
+                        }
+                        v
+                    })
+                    .collect();
+                let key = if dense {
+                    vec![s as u32]
+                } else {
+                    std::mem::take(&mut self.keys[s])
+                };
+                crate::groupby::Group { key, values, rows }
+            })
+            .collect();
+        if !dense {
+            groups.sort_by(|a, b| a.key.cmp(&b.key));
+        }
+        crate::groupby::GroupedResult {
+            groups,
+            matched_rows: self.matched,
+        }
     }
 }

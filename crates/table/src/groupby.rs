@@ -206,23 +206,24 @@ impl FactTable {
         )]))
     }
 
-    /// Sequential grouped scan on the vectorized executor, with a
-    /// packed-`u64` group key (or a dense per-code slot index for a single
-    /// small-domain key) instead of a per-row `Vec<u32>` clone.
-    /// Bit-identical to [`FactTable::group_by_scalar`]: rows accumulate
-    /// into their group in row order.
+    /// Sequential grouped scan on the vectorized executor: one fused pass
+    /// per batch into per-slot arrays, with the key code as the slot for a
+    /// single small-domain key and a packed-`u64` (or tuple) map otherwise,
+    /// instead of a per-row `Vec<u32>` clone. Bit-identical to
+    /// [`FactTable::group_by_scalar`]: rows accumulate into their group in
+    /// row order.
     pub fn group_by_seq(&self, q: &GroupByQuery) -> Result<GroupedResult, ScanError> {
         self.validate(&q.scan)?;
         self.validate_group_by(q)?;
         let compiled = CompiledGroupBy::compile(self, q);
         let mut acc = GroupAcc::new(&compiled);
         compiled.scan_range(self.zone_maps(), 0, self.rows(), &mut acc);
-        Ok(acc.finish())
+        Ok(acc.finish(&compiled))
     }
 
     /// Parallel grouped scan over row blocks ([`par::fold_reduce`]):
     /// every thread folds a contiguous run of whole blocks into its own
-    /// packed-key accumulator and the accumulators merge in block order (the classic two-phase
+    /// slot-array accumulator and the accumulators merge in block order (the classic two-phase
     /// parallel aggregation of Liang & Orlowska's "naïve parallel
     /// algorithm", §II-B — without materialising per-block partials).
     pub fn group_by_par(&self, q: &GroupByQuery) -> Result<GroupedResult, ScanError> {
@@ -231,7 +232,7 @@ impl FactTable {
         let rows = self.rows();
         let compiled = CompiledGroupBy::compile(self, q);
         if rows == 0 || compiled.scan.empty {
-            return Ok(GroupAcc::new(&compiled).finish());
+            return Ok(GroupAcc::new(&compiled).finish(&compiled));
         }
         let zones = self.zone_maps();
         let blocks = rows.div_ceil(BLOCK_ROWS);
@@ -249,7 +250,7 @@ impl FactTable {
                 a
             },
         );
-        Ok(total.finish())
+        Ok(total.finish(&compiled))
     }
 }
 

@@ -29,8 +29,9 @@
 //! fixed [`BATCH_ROWS`]-row batches into reusable selection vectors with
 //! branch-free kernels, per-block zone maps ([`zone`]) skip batches whose
 //! `[min, max]` cannot satisfy a conjunct, set predicates compile to dense
-//! membership bitmaps, and group-by packs small keys into a `u64` (or a
-//! dense slot array for one small-domain key). The original row-at-a-time
+//! membership bitmaps, and group-by folds each batch in one pass into
+//! per-slot arrays (a single small-domain key is its own slot; wider keys
+//! are packed into a `u64` or hashed). The original row-at-a-time
 //! interpreter is retained as [`FactTable::scan_scalar`] /
 //! [`FactTable::group_by_scalar`] — the reference implementation the
 //! vectorized engine is property-tested and benchmarked against.

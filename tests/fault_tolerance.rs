@@ -202,25 +202,25 @@ fn dead_partition_is_quarantined_and_rerouted() {
         },
         ..FaultToleranceConfig::default()
     };
-    let faulty = build_system(Policy::GpuOnly, Some(plan), faults);
+    let faulty = build_system(Policy::Paper, Some(plan), faults);
     let clean = build_system(Policy::GpuOnly, None, FaultToleranceConfig::default());
 
-    // A concurrent burst: the live-load floors spread the queries over
-    // every GPU partition, so the dead one is guaranteed to receive work.
+    // One query at a time: no cube holds level 3, and Figure 10 puts an
+    // unloaded GPU query on the slowest feasible partition, partition 0.
+    // So the dead partition receives every query until it is quarantined,
+    // whatever the thread timing.
     let queries: Vec<EngineQuery> = (0..30)
         .map(|i: u32| EngineQuery::new().range(0, 3, i % 3, 5 + i % 5))
         .collect();
-    let truth: Vec<QueryOutcome> = queries.iter().map(|q| clean.execute(q).unwrap()).collect();
-    let tickets = faulty.submit_batch(queries.iter());
-    for (i, (t, b)) in tickets.into_iter().zip(&truth).enumerate() {
-        let a = t.unwrap().wait().unwrap();
-        assert_same_outcome(&a, b, &format!("query {i}"));
+    for (i, q) in queries.iter().enumerate() {
+        let a = faulty.execute(q).unwrap();
+        assert_same_outcome(&a, &clean.execute(q).unwrap(), &format!("query {i}"));
     }
     assert_eq!(faulty.quarantined_partitions(), vec![0]);
     assert_eq!(faulty.partition_health(0), HealthState::Quarantined);
 
-    // With partition 0 excluded, GPU-only scheduling still works: the
-    // next queries land on the healthy partitions and succeed.
+    // With partition 0 excluded, GPU scheduling still works: the next
+    // queries land on the healthy partitions and succeed.
     let q = EngineQuery::new().range(0, 3, 0, 9);
     for _ in 0..5 {
         let out = faulty.execute(&q).unwrap();

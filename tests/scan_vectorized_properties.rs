@@ -9,9 +9,10 @@
 //! relative tolerance while order-independent aggregates (COUNT/MIN/MAX)
 //! stay exact.
 
+use holap::table::par::Pool;
 use holap::table::{
-    AggOp, AggSpec, ColumnId, FactTable, FactTableBuilder, GroupByQuery, Predicate, ScanQuery,
-    SetPredicate, TableSchema, BATCH_ROWS,
+    AggOp, AggSpec, ColumnId, FactTable, FactTableBuilder, GroupByQuery, GroupedResult, Predicate,
+    ScanQuery, SetPredicate, TableSchema, BATCH_ROWS, BLOCK_ROWS,
 };
 use holap::workload::Rng;
 
@@ -26,12 +27,17 @@ const ALL_OPS: [AggOp; 5] = [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max, A
 /// produce genuine `Skip` and `AllMatch` decisions rather than `Eval`
 /// everywhere.
 fn table(rng: &mut Rng) -> FactTable {
+    table_of(rng, 3 * BATCH_ROWS + 7)
+}
+
+/// [`table`] with up to `max_rows - 1` rows.
+fn table_of(rng: &mut Rng, max_rows: usize) -> FactTable {
     let (c0, c1, c2) = (
         rng.gen_range(2u32..6),
         rng.gen_range(4u32..40),
         rng.gen_range(2u32..8),
     );
-    let mut rows: Vec<(u32, f64)> = (0..rng.gen_range(0..3 * BATCH_ROWS + 7))
+    let mut rows: Vec<(u32, f64)> = (0..rng.gen_range(0..max_rows))
         .map(|_| (rng.gen_range(0u32..1_000_000), rng.gen_range(-100.0..100.0)))
         .collect();
     if rng.gen::<bool>() {
@@ -51,10 +57,20 @@ fn table(rng: &mut Rng) -> FactTable {
     b.finish()
 }
 
-/// Random queries: every aggregate op (plus COUNT(*)), a random weight,
-/// 0–2 range filters per run — possibly contradictory (`lo > hi` after
-/// intersection) — and an optional membership filter that may be empty.
+/// Random queries: every aggregate op (plus COUNT(*)) over [`filtered`].
 fn query(rng: &mut Rng) -> ScanQuery {
+    let mut q = filtered(rng);
+    for op in ALL_OPS {
+        q = q.aggregate(AggSpec::new(op, Some(0)));
+        q = q.aggregate(AggSpec::new(op, Some(1)));
+    }
+    q.aggregate(AggSpec::count_star())
+}
+
+/// Random filters without aggregates: a random weight, 0–2 range filters
+/// — possibly contradictory (`lo > hi` after intersection) — and an
+/// optional membership filter that may be empty.
+fn filtered(rng: &mut Rng) -> ScanQuery {
     let cols = [
         ColumnId::dim(0, 0),
         ColumnId::dim(0, 1),
@@ -82,11 +98,7 @@ fn query(rng: &mut Rng) -> ScanQuery {
     if let Some(codes) = set {
         q = q.filter_set(SetPredicate::new(ColumnId::dim(0, 1), codes));
     }
-    for op in ALL_OPS {
-        q = q.aggregate(AggSpec::new(op, Some(0)));
-        q = q.aggregate(AggSpec::new(op, Some(1)));
-    }
-    q.aggregate(AggSpec::count_star())
+    q
 }
 
 /// The sequential vectorized scan is bit-identical to the scalar
@@ -271,4 +283,175 @@ fn degenerate_queries_match_scalar() {
         assert_eq!(table.group_by_par(&gq).unwrap(), gs);
         assert!(gs.groups.is_empty());
     }
+}
+
+/// Random group keys over [`table`]'s columns: one key (the dense path)
+/// or two (the packed path).
+fn keys(rng: &mut Rng) -> Vec<ColumnId> {
+    if rng.gen::<bool>() {
+        vec![ColumnId::dim(0, 1), ColumnId::dim(1, 0)]
+    } else {
+        vec![ColumnId::dim(0, 0)]
+    }
+}
+
+/// The shape the engine sends, `SUM(m) + COUNT(*)`, is bit-identical to
+/// the scalar reference.
+#[test]
+fn engine_shape_group_by_equals_scalar_exactly() {
+    check(96, |rng| {
+        let table = table(rng);
+        let q = filtered(rng)
+            .aggregate(AggSpec::new(AggOp::Sum, Some(rng.gen_range(0usize..2))))
+            .aggregate(AggSpec::count_star());
+        let gq = GroupByQuery::new(q, keys(rng));
+        assert_eq!(
+            table.group_by_seq(&gq).unwrap(),
+            table.group_by_scalar(&gq).unwrap()
+        );
+    });
+}
+
+/// A query with no measure at all groups like the scalar reference.
+#[test]
+fn count_only_group_by_equals_scalar_exactly() {
+    check(96, |rng| {
+        let table = table(rng);
+        let q = filtered(rng).aggregate(AggSpec::count_star());
+        let gq = GroupByQuery::new(q, keys(rng));
+        let s = table.group_by_scalar(&gq).unwrap();
+        assert_eq!(table.group_by_seq(&gq).unwrap(), s);
+        assert_eq!(table.group_by_par(&gq).unwrap(), s);
+    });
+}
+
+/// Single keys at the edges of the dense path: one code, the largest
+/// dense domain (2^16), and one past it (the packed path). The codes in
+/// use may stop well short of the domain.
+#[test]
+fn single_key_cardinality_edges_equal_scalar() {
+    for card in [1u32, 1 << 16, (1 << 16) + 1] {
+        check(16, |rng| {
+            let schema = TableSchema::builder()
+                .dimension("k", &[("l", card)])
+                .dimension("f", &[("l", 8)])
+                .measure("m")
+                .build();
+            let span = *rng.choose(&[1u32, 100, card]).unwrap().min(&card);
+            let mut b = FactTableBuilder::new(schema);
+            for _ in 0..rng.gen_range(0..3 * BATCH_ROWS + 7) {
+                let k = card - 1 - rng.gen_range(0..span);
+                let v = rng.gen_range(-100.0..100.0);
+                b.push_row(&[k, rng.gen_range(0u32..8)], &[v]).unwrap();
+            }
+            let table = b.finish();
+            let lo = rng.gen_range(0u32..8);
+            let q = ScanQuery::new()
+                .filter(Predicate::range(
+                    ColumnId::dim(1, 0),
+                    lo,
+                    rng.gen_range(lo..8),
+                ))
+                .aggregate(AggSpec::new(AggOp::Sum, Some(0)))
+                .aggregate(AggSpec::new(AggOp::Min, Some(0)))
+                .aggregate(AggSpec::new(AggOp::Max, Some(0)))
+                .aggregate(AggSpec::count_star());
+            let gq = GroupByQuery::new(q, vec![ColumnId::dim(0, 0)]);
+            let s = table.group_by_scalar(&gq).unwrap();
+            assert_eq!(table.group_by_seq(&gq).unwrap(), s, "cardinality {card}");
+            assert_eq!(
+                table.group_by_par(&gq).unwrap().groups.len(),
+                s.groups.len()
+            );
+        });
+    }
+}
+
+/// Batches where every row matches — no filter at all, or one the zone
+/// maps elide — group like the scalar reference.
+#[test]
+fn all_match_batches_group_like_scalar() {
+    check(48, |rng| {
+        let table = table(rng);
+        let whole_domain = Predicate::range(ColumnId::dim(0, 0), 0, u32::MAX);
+        let filters = [ScanQuery::new(), ScanQuery::new().filter(whole_domain)];
+        for q in filters {
+            let mut q = q.with_weight(*rng.choose(&[1.0f64, -2.0]).unwrap());
+            for op in ALL_OPS {
+                q = q.aggregate(AggSpec::new(op, Some(1)));
+            }
+            let gq = GroupByQuery::new(q, keys(rng));
+            let s = table.group_by_scalar(&gq).unwrap();
+            assert_eq!(s.matched_rows, table.rows() as u64);
+            assert_eq!(table.group_by_seq(&gq).unwrap(), s);
+        }
+    });
+}
+
+/// A group whose values are all `0.0` or `-0.0`: MIN and MAX tie on every
+/// row, and the first row's sign must win, as in the scalar reference.
+/// The parallel merge keeps the earlier extreme on ties, so it agrees to
+/// the bit under every pool width too.
+#[test]
+fn signed_zero_ties_keep_row_order() {
+    check(6, |rng| {
+        let schema = TableSchema::builder()
+            .dimension("g", &[("l", 3)])
+            .measure("m")
+            .build();
+        let mut b = FactTableBuilder::new(schema);
+        for _ in 0..rng.gen_range(1..3 * BLOCK_ROWS) {
+            let v = *rng.choose(&[0.0f64, -0.0]).unwrap();
+            b.push_row(&[rng.gen_range(0u32..3)], &[v]).unwrap();
+        }
+        let table = b.finish();
+        let mut q = ScanQuery::new().with_weight(*rng.choose(&[1.0f64, -2.0]).unwrap());
+        for op in ALL_OPS {
+            q = q.aggregate(AggSpec::new(op, Some(0)));
+        }
+        let gq = GroupByQuery::new(q, vec![ColumnId::dim(0, 0)]);
+        let s = table.group_by_scalar(&gq).unwrap();
+        let bits = |r: &GroupedResult| -> Vec<(u64, u64, u64)> {
+            let values = r.groups.iter().flat_map(|g| &g.values);
+            values
+                .map(|v| (v.sum.to_bits(), v.min.to_bits(), v.max.to_bits()))
+                .collect()
+        };
+        let seq = table.group_by_seq(&gq).unwrap();
+        assert_eq!(seq, s);
+        assert_eq!(bits(&seq), bits(&s));
+        for threads in [1, 2, 8] {
+            let par = Pool::new(threads).install(|| table.group_by_par(&gq).unwrap());
+            assert_eq!(par, s, "{threads} threads");
+            assert_eq!(bits(&par), bits(&s), "{threads} threads");
+        }
+    });
+}
+
+/// The parallel group-by over tables of several blocks, under one, two
+/// and eight threads: keys, row counts, COUNT, MIN and MAX exact, SUM
+/// within FP-reassociation slack.
+#[test]
+fn parallel_group_by_matches_scalar_under_every_pool_width() {
+    check(12, |rng| {
+        let table = table_of(rng, 3 * BLOCK_ROWS);
+        let q = query(rng);
+        let gq = GroupByQuery::new(q, keys(rng));
+        let s = table.group_by_scalar(&gq).unwrap();
+        for threads in [1, 2, 8] {
+            let p = Pool::new(threads).install(|| table.group_by_par(&gq).unwrap());
+            assert_eq!(s.matched_rows, p.matched_rows, "{threads} threads");
+            assert_eq!(s.groups.len(), p.groups.len(), "{threads} threads");
+            for (a, b) in s.groups.iter().zip(&p.groups) {
+                assert_eq!(&a.key, &b.key);
+                assert_eq!(a.rows, b.rows);
+                for (x, y) in a.values.iter().zip(&b.values) {
+                    assert_eq!(x.count, y.count);
+                    assert_eq!(x.min, y.min);
+                    assert_eq!(x.max, y.max);
+                    assert!((x.sum - y.sum).abs() <= 1e-9 * (1.0 + x.sum.abs()));
+                }
+            }
+        }
+    });
 }
