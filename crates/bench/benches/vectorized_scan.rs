@@ -1,9 +1,11 @@
 //! Vectorized scan engine vs the retained scalar reference.
 //!
-//! Three workloads over a multi-million-row fact table:
+//! Four workloads over a multi-million-row fact table:
 //!
 //! * `filtered_scan` — an unselective range filter (~50% of rows match):
 //!   the win is branch-free column-wise predicate evaluation.
+//! * `min_max_scan` — MIN, MAX and AVG over the same rows: the kernels
+//!   compiled for the min, max and sum statistics.
 //! * `selective_scan` — a narrow range on a clustered column: zone maps
 //!   skip almost every block, so the win is not reading rows at all.
 //! * `group_by` — grouped SUM over a small-domain key: the win is the
@@ -30,6 +32,16 @@ fn main() {
     });
     bench.run("filtered_scan/parallel", rows, || {
         t.scan_par(&q.filtered).unwrap()
+    });
+
+    bench.run("min_max_scan/scalar", rows, || {
+        t.scan_scalar(&q.min_max).unwrap()
+    });
+    bench.run("min_max_scan/vectorized", rows, || {
+        t.scan_seq(&q.min_max).unwrap()
+    });
+    bench.run("min_max_scan/parallel", rows, || {
+        t.scan_par(&q.min_max).unwrap()
     });
 
     bench.run("selective_scan/scalar", rows, || {

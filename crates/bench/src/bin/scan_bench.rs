@@ -1,5 +1,5 @@
 //! Emits `BENCH_scan.json`: rows/s of the vectorized scan engine vs the
-//! retained scalar reference, on the three workloads of
+//! scalar reference, on the four workloads of
 //! [`holap_bench::scan_workload`].
 //!
 //! ```text
@@ -52,6 +52,7 @@ fn assert_par_values(case: &str, scalar: &[AggValue], par: &[AggValue]) {
 fn check_answers(t: &FactTable, q: &ScanQueries) {
     for (case, sq) in [
         ("filtered_scan", &q.filtered),
+        ("min_max_scan", &q.min_max),
         ("selective_scan", &q.selective),
     ] {
         let scalar = t.scan_scalar(sq).unwrap();
@@ -127,6 +128,12 @@ fn main() {
         best_secs(|| t.scan_scalar(&q.filtered).unwrap()),
         best_secs(|| t.scan_seq(&q.filtered).unwrap()),
         parallel.then(|| best_secs(|| t.scan_par(&q.filtered).unwrap())),
+    );
+    run(
+        "min_max_scan",
+        best_secs(|| t.scan_scalar(&q.min_max).unwrap()),
+        best_secs(|| t.scan_seq(&q.min_max).unwrap()),
+        parallel.then(|| best_secs(|| t.scan_par(&q.min_max).unwrap())),
     );
     run(
         "selective_scan",

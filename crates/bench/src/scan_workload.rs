@@ -1,6 +1,6 @@
 //! The shared workload behind the vectorized-scan benchmarks
 //! (`benches/vectorized_scan.rs` and `src/bin/scan_bench.rs`): one fact
-//! table and three queries chosen so each exercises a different part of
+//! table and four queries chosen so each exercises a different part of
 //! the engine.
 //!
 //! * a **clustered** dimension (`t.bucket`, monotone in row order) whose
@@ -10,7 +10,10 @@
 //!   are useless — a wide range on it measures raw predicate + aggregate
 //!   throughput with no skipping help;
 //! * a **small-domain** key (`g.key`) that takes the dense slot-array
-//!   group path.
+//!   group path;
+//! * MIN, MAX and AVG over the scattered window, which run the kernels
+//!   compiled for the min, max and sum statistics rather than the
+//!   engine's sum-only one.
 
 use holap_table::{
     AggOp, AggSpec, ColumnId, FactTable, FactTableBuilder, GroupByQuery, Predicate, ScanQuery,
@@ -55,22 +58,29 @@ pub fn table(rows: usize) -> FactTable {
     b.finish()
 }
 
-/// The three benchmark queries.
+/// The four benchmark queries.
 pub struct ScanQueries {
     /// Unselective range on the scattered column (~50% of rows match).
     pub filtered: ScanQuery,
+    /// MIN + MAX + AVG over the rows `filtered` matches.
+    pub min_max: ScanQuery,
     /// Narrow range on the clustered column (~1/64 of rows, zone-skippable).
     pub selective: ScanQuery,
     /// Grouped SUM over the small-domain key, filtered like `filtered`.
     pub grouped: GroupByQuery,
 }
 
-/// Builds the three queries.
+/// Builds the four queries.
 pub fn queries() -> ScanQueries {
-    let filtered = ScanQuery::new()
-        .filter(Predicate::range(ColumnId::dim(1, 0), 0, VALS / 2 - 1))
+    let window = ScanQuery::new().filter(Predicate::range(ColumnId::dim(1, 0), 0, VALS / 2 - 1));
+    let filtered = window
+        .clone()
         .aggregate(AggSpec::new(AggOp::Sum, Some(0)))
         .aggregate(AggSpec::count_star());
+    let min_max = window
+        .aggregate(AggSpec::new(AggOp::Min, Some(0)))
+        .aggregate(AggSpec::new(AggOp::Max, Some(0)))
+        .aggregate(AggSpec::new(AggOp::Avg, Some(0)));
     let selective = ScanQuery::new()
         .filter(Predicate::range(ColumnId::dim(0, 0), 17, 17))
         .aggregate(AggSpec::new(AggOp::Sum, Some(0)))
@@ -83,6 +93,7 @@ pub fn queries() -> ScanQueries {
     );
     ScanQueries {
         filtered,
+        min_max,
         selective,
         grouped,
     }

@@ -1,11 +1,12 @@
 //! The vectorized scan executor: batch-at-a-time predicate evaluation over
-//! selection vectors, zone-map block skipping, and slot-array grouping.
+//! selection vectors, zone-map block skipping, and one slot-array
+//! aggregation kernel for plain and grouped scans.
 //!
 //! This is the one engine behind [`FactTable::scan_seq`],
 //! [`FactTable::scan_par`], [`FactTable::group_by_seq`] and
 //! [`FactTable::group_by_par`]. Instead of interpreting every predicate for
-//! every row (the retained reference implementation,
-//! [`FactTable::scan_scalar`]), a scan is *compiled* once:
+//! every row (the reference implementation, [`FactTable::scan_scalar`]),
+//! a scan is *compiled* once:
 //!
 //! * each conjunctive range predicate collapses to one inclusive window per
 //!   physical column (the intersection of all windows on that column);
@@ -14,7 +15,9 @@
 //!   binary search over the sorted codes for huge sparse domains;
 //! * provably-empty conjunctions (an empty set, a contradictory window, or
 //!   a window disjoint from the table-wide zone bounds) short-circuit to
-//!   the empty result without visiting a single row.
+//!   the empty result without visiting a single row;
+//! * each distinct measure column gets its *need set*: the statistics
+//!   (sum, min, max) its aggregates read, and no others.
 //!
 //! Execution then walks fixed [`BATCH_ROWS`]-row batches. For every batch
 //! the zone maps decide, per filter, one of three outcomes: **skip** the
@@ -25,15 +28,19 @@
 //! order — the same floating-point accumulation order as the scalar
 //! reference, so sequential results are bit-identical.
 //!
-//! A grouped scan keeps its groups as per-slot arrays ([`GroupAcc`]): a row
-//! count per slot, and a sum/min/max per slot for each distinct measure
-//! column; every aggregate's `count` is the slot's row count. A single
-//! small-domain key is its own slot (the arrays span the column's zone-map
-//! maximum); wider keys are packed into a `u64` or hashed as a tuple, and
-//! the map hands out slot ids. Each batch then runs one fused pass over its
-//! matching rows — read the key, bump the row count, fold the measure —
-//! with no per-row dispatch on the key path or the aggregate list.
+//! Both kinds of scan aggregate into per-slot arrays (`GroupAcc`): a row
+//! count per slot, and per distinct measure column one array per statistic
+//! in its need set; every aggregate's `count` is the slot's row count. A
+//! plain scan is a grouped scan with one slot and no key, whose batch fold
+//! keeps its statistics in locals. A single small-domain key is its own
+//! slot (the arrays span the column's zone-map maximum); wider keys are
+//! packed into a `u64` or hashed as a tuple, and the map hands out slot
+//! ids. Each batch runs one fused pass over its matching rows — read the
+//! key, bump the row count, fold the measure — through a loop compiled for
+//! the measure's need set, with no per-row dispatch on the key path or the
+//! aggregate list.
 
+use crate::par;
 use crate::scan::{AggOp, AggResult, AggValue, ScanQuery, SetPredicate};
 use crate::schema::ColumnId;
 use crate::table::FactTable;
@@ -182,21 +189,20 @@ impl Filter<'_> {
     }
 }
 
-/// A scan compiled against one table: filters bound to columns, aggregate
-/// inputs resolved, degeneracy decided.
+/// A scan's filters compiled against one table: bound to columns,
+/// degeneracy decided.
 pub(crate) struct CompiledScan<'t> {
     filters: Vec<Filter<'t>>,
-    agg_cols: Vec<Option<&'t [f64]>>,
-    ops: Vec<AggOp>,
-    weight: f64,
+    zones: &'t ZoneMaps,
+    rows: usize,
     /// The conjunction provably matches no row; execution returns the
     /// empty result without visiting any block.
-    pub(crate) empty: bool,
+    empty: bool,
 }
 
 impl<'t> CompiledScan<'t> {
-    /// Compiles a validated query against `table`.
-    pub(crate) fn compile(table: &'t FactTable, q: &'t ScanQuery) -> Self {
+    /// Compiles a validated query's filters against `table`.
+    fn compile(table: &'t FactTable, q: &'t ScanQuery) -> Self {
         let schema = table.schema();
         let zones = table.zone_maps();
         let has_rows = table.rows() > 0;
@@ -276,64 +282,72 @@ impl<'t> CompiledScan<'t> {
             });
         }
 
-        let agg_cols = q
-            .aggregates
-            .iter()
-            .map(|a| a.measure.map(|m| table.measure_column(m)))
-            .collect();
-        let ops = q.aggregates.iter().map(|a| a.op).collect();
         Self {
             filters,
-            agg_cols,
-            ops,
-            weight: q.weight,
+            zones,
+            rows: table.rows(),
             empty,
         }
     }
 
-    /// The result of matching zero rows.
-    pub(crate) fn empty_result(&self) -> AggResult {
-        AggResult {
-            values: self.ops.iter().map(|&op| AggValue::empty(op)).collect(),
-            matched_rows: 0,
+    /// Decides batch `batch` from the zone maps: `false` when no row can
+    /// match, else `true` with `active` refilled with the filters the
+    /// batch must evaluate (the others match every row).
+    fn plan_batch<'s>(&'s self, batch: usize, active: &mut Vec<&'s Filter<'t>>) -> bool {
+        active.clear();
+        for f in &self.filters {
+            match f.zone_decision(self.zones, batch) {
+                ZoneDecision::Skip => return false,
+                ZoneDecision::AllMatch => {}
+                ZoneDecision::Eval => active.push(f),
+            }
         }
+        true
+    }
+
+    /// The parallel blocks in which the zone maps leave at least one batch
+    /// to scan. The batches of the dropped blocks are published as skipped,
+    /// as if the scan had visited them.
+    fn live_blocks(&self) -> Vec<usize> {
+        if self.empty {
+            return Vec::new();
+        }
+        let mut active = Vec::with_capacity(self.filters.len());
+        let mut skipped = 0u64;
+        let live = (0..self.rows.div_ceil(BLOCK_ROWS))
+            .filter(|&b| {
+                let start = b * BLOCK_ROWS;
+                let end = (start + BLOCK_ROWS).min(self.rows);
+                let batches = start / BATCH_ROWS..end.div_ceil(BATCH_ROWS);
+                let live = batches
+                    .clone()
+                    .any(|batch| self.plan_batch(batch, &mut active));
+                if !live {
+                    skipped += batches.len() as u64;
+                }
+                live
+            })
+            .collect();
+        crate::telemetry::flush(0, skipped, 0, 0);
+        live
     }
 
     /// Walks `[start, end)` (with `start` batch-aligned) one batch at a
     /// time and hands `visit` each batch's matching rows, in row order.
     /// Zone maps skip a batch or elide its filters; the remaining filters
     /// fill and compact the selection vector.
-    fn for_each_batch(
-        &self,
-        zones: &ZoneMaps,
-        start: usize,
-        end: usize,
-        mut visit: impl FnMut(Matched<'_>),
-    ) {
+    fn for_each_batch(&self, start: usize, end: usize, mut visit: impl FnMut(Matched<'_>)) {
         debug_assert_eq!(start % BATCH_ROWS, 0);
         if self.empty || start >= end {
             return;
         }
         let mut sel = vec![0u32; BATCH_ROWS];
-        let mut active: Vec<&Filter<'_>> = Vec::with_capacity(self.filters.len());
+        let mut active = Vec::with_capacity(self.filters.len());
         let mut batch_start = start;
         let (mut scanned, mut skipped, mut elided, mut matched) = (0u64, 0u64, 0u64, 0u64);
         while batch_start < end {
             let batch_end = (batch_start + BATCH_ROWS).min(end);
-            let block = batch_start / BATCH_ROWS;
-            active.clear();
-            let mut skip = false;
-            for f in &self.filters {
-                match f.zone_decision(zones, block) {
-                    ZoneDecision::Skip => {
-                        skip = true;
-                        break;
-                    }
-                    ZoneDecision::AllMatch => {}
-                    ZoneDecision::Eval => active.push(f),
-                }
-            }
-            if skip {
+            if !self.plan_batch(batch_start / BATCH_ROWS, &mut active) {
                 skipped += 1;
                 batch_start = batch_end;
                 continue;
@@ -361,36 +375,6 @@ impl<'t> CompiledScan<'t> {
         }
         crate::telemetry::flush(scanned, skipped, elided, matched);
     }
-
-    /// Scans `[start, end)` (with `start` batch-aligned), accumulating into
-    /// `acc`. Row order is preserved, so accumulation order matches the
-    /// scalar reference exactly.
-    pub(crate) fn scan_range(
-        &self,
-        zones: &ZoneMaps,
-        start: usize,
-        end: usize,
-        acc: &mut AggResult,
-    ) {
-        self.for_each_batch(zones, start, end, |m| {
-            acc.matched_rows += m.len() as u64;
-            for (val, col) in acc.values.iter_mut().zip(&self.agg_cols) {
-                match (col, &m) {
-                    (Some(c), Matched::Window(w)) => {
-                        for &v in &c[w.clone()] {
-                            val.accumulate(v * self.weight);
-                        }
-                    }
-                    (Some(c), Matched::Rows(sel)) => {
-                        for &idx in *sel {
-                            val.accumulate(c[idx as usize] * self.weight);
-                        }
-                    }
-                    (None, _) => val.count += m.len() as u64,
-                }
-            }
-        });
-    }
 }
 
 /// The rows of one batch that pass every filter, ascending.
@@ -410,8 +394,10 @@ impl Matched<'_> {
     }
 }
 
-/// How group keys map to slots.
+/// How rows map to slots.
 enum GroupPath {
+    /// No key (a plain scan): every row goes to slot 0.
+    Single,
     /// Single key column with a small domain: the slot is the key code
     /// itself, over `0..slots` (the column's table-wide maximum + 1).
     Dense { slots: usize },
@@ -423,26 +409,59 @@ enum GroupPath {
     Hashed,
 }
 
-/// A grouped scan compiled against one table.
+/// The running statistics one measure column's aggregates read: the union
+/// of its aggregates' needs. `COUNT` reads none, since every aggregate's
+/// count is its slot's row count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Need {
+    sum: bool,
+    min: bool,
+    max: bool,
+}
+
+impl Need {
+    fn of(op: AggOp) -> Self {
+        Self {
+            sum: matches!(op, AggOp::Sum | AggOp::Avg),
+            min: op == AggOp::Min,
+            max: op == AggOp::Max,
+        }
+    }
+
+    fn or(self, other: Self) -> Self {
+        Self {
+            sum: self.sum || other.sum,
+            min: self.min || other.min,
+            max: self.max || other.max,
+        }
+    }
+
+    fn is_empty(self) -> bool {
+        self == Self::default()
+    }
+}
+
+/// A plain or grouped scan compiled against one table.
 pub(crate) struct CompiledGroupBy<'t> {
-    pub(crate) scan: CompiledScan<'t>,
+    scan: CompiledScan<'t>,
     key_cols: Vec<&'t [u32]>,
     path: GroupPath,
-    /// The distinct measure columns the aggregates read, each accumulated
-    /// once however many aggregates share it.
-    measures: Vec<&'t [f64]>,
-    /// Per aggregate: its operator and its index into `measures`
-    /// (`None` for `COUNT(*)`).
+    weight: f64,
+    /// The distinct measure columns the aggregates read a statistic of,
+    /// each with its need set and accumulated once however many aggregates
+    /// share it.
+    measures: Vec<(&'t [f64], Need)>,
+    /// Per aggregate: its operator and its index into `measures` (`None`
+    /// for `COUNT`, which reads only the slot's row count).
     aggs: Vec<(AggOp, Option<usize>)>,
 }
 
 impl<'t> CompiledGroupBy<'t> {
-    /// Compiles a validated grouped query against `table`.
-    pub(crate) fn compile(table: &'t FactTable, q: &'t crate::groupby::GroupByQuery) -> Self {
-        let scan = CompiledScan::compile(table, &q.scan);
-        let key_cols: Vec<&[u32]> = q.group_by.iter().map(|&c| table.u32_column(c)).collect();
-        let cards: Vec<u64> = q
-            .group_by
+    /// Compiles a validated query grouped by `group_by` against `table`;
+    /// no key columns make it a plain scan ([`GroupPath::Single`]).
+    pub(crate) fn compile(table: &'t FactTable, q: &'t ScanQuery, group_by: &[ColumnId]) -> Self {
+        let key_cols: Vec<&[u32]> = group_by.iter().map(|&c| table.u32_column(c)).collect();
+        let cards: Vec<u64> = group_by
             .iter()
             .map(|&c| {
                 let ColumnId::Dim { dim, level } = c else {
@@ -456,8 +475,10 @@ impl<'t> CompiledGroupBy<'t> {
             .iter()
             .map(|&c| 64 - (c - 1).leading_zeros().min(64))
             .collect();
-        let path = if cards.len() == 1 && cards[0] <= DENSE_GROUP_MAX {
-            let ColumnId::Dim { dim, level } = q.group_by[0] else {
+        let path = if group_by.is_empty() {
+            GroupPath::Single
+        } else if cards.len() == 1 && cards[0] <= DENSE_GROUP_MAX {
+            let ColumnId::Dim { dim, level } = group_by[0] else {
                 unreachable!("validated group column");
             };
             let zone_idx = table
@@ -473,51 +494,76 @@ impl<'t> CompiledGroupBy<'t> {
         } else {
             GroupPath::Hashed
         };
-        let mut measure_ids: Vec<usize> = Vec::new();
+        let mut measures: Vec<(usize, Need)> = Vec::new();
         let aggs = q
-            .scan
             .aggregates
             .iter()
             .map(|a| {
-                let measure = a.measure.map(|m| {
-                    measure_ids
-                        .iter()
-                        .position(|&id| id == m)
-                        .unwrap_or_else(|| {
-                            measure_ids.push(m);
-                            measure_ids.len() - 1
-                        })
+                let need = Need::of(a.op);
+                let measure = a.measure.filter(|_| !need.is_empty()).map(|m| {
+                    let j = measures.iter().position(|&(id, _)| id == m);
+                    let j = j.unwrap_or_else(|| {
+                        measures.push((m, Need::default()));
+                        measures.len() - 1
+                    });
+                    measures[j].1 = measures[j].1.or(need);
+                    j
                 });
                 (a.op, measure)
             })
             .collect();
-        let measures = measure_ids
+        let measures = measures
             .iter()
-            .map(|&m| table.measure_column(m))
+            .map(|&(m, need)| (table.measure_column(m), need))
             .collect();
         Self {
-            scan,
+            scan: CompiledScan::compile(table, q),
             key_cols,
             path,
+            weight: q.weight,
             measures,
             aggs,
         }
     }
 
-    /// Grouped scan of `[start, end)` (with `start` batch-aligned),
-    /// accumulating into `acc` in row order.
-    pub(crate) fn scan_range(
-        &self,
-        zones: &ZoneMaps,
-        start: usize,
-        end: usize,
-        acc: &mut GroupAcc,
-    ) {
+    /// Runs the query over the whole table on the calling thread.
+    pub(crate) fn run_seq(&self) -> GroupAcc {
+        let mut acc = GroupAcc::new(self);
+        self.scan_range(0, self.scan.rows, &mut acc);
+        acc
+    }
+
+    /// Runs the query with the current [`par::Pool`]'s width: each thread
+    /// folds a contiguous run of whole blocks into its own accumulator and
+    /// the accumulators merge in block order. Only blocks the zone maps
+    /// leave work in are handed out, so a query with at most one such
+    /// block runs inline and starts no thread.
+    pub(crate) fn run_par(&self) -> GroupAcc {
+        par::fold_reduce(
+            self.scan.live_blocks(),
+            || GroupAcc::new(self),
+            |mut acc, b| {
+                let start = b * BLOCK_ROWS;
+                let end = (start + BLOCK_ROWS).min(self.scan.rows);
+                self.scan_range(start, end, &mut acc);
+                acc
+            },
+            |mut a, b| {
+                a.merge(self, b);
+                a
+            },
+        )
+    }
+
+    /// Scan of `[start, end)` (with `start` batch-aligned), accumulating
+    /// into `acc` in row order.
+    fn scan_range(&self, start: usize, end: usize, acc: &mut GroupAcc) {
         let mut slots: Vec<u32> = Vec::new();
         let mut key = vec![0u32; self.key_cols.len()];
-        self.scan.for_each_batch(zones, start, end, |m| {
+        self.scan.for_each_batch(start, end, |m| {
             acc.matched += m.len() as u64;
             match (&self.path, m) {
+                (GroupPath::Single, m) => acc.fold_single(self, &m),
                 (GroupPath::Dense { .. }, Matched::Window(w)) => {
                     let codes = self.key_cols[0];
                     acc.fold(self, w.map(|row| (row, codes[row] as usize)));
@@ -559,55 +605,144 @@ impl<'t> CompiledGroupBy<'t> {
     }
 }
 
-/// Running SUM/MIN/MAX of one measure column within one group.
-#[derive(Clone, Copy)]
-struct Moments {
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Moments {
-    const EMPTY: Self = Self {
-        sum: 0.0,
-        min: f64::INFINITY,
-        max: f64::NEG_INFINITY,
+/// Calls `$kernel` with a need set's flags as its trailing `SUM`, `MIN`
+/// and `MAX` const parameters, so each need set runs a loop of its own.
+macro_rules! with_need {
+    ($need:expr, $kernel:ident $(::<$($lead:literal),*>)? ($($arg:expr),* $(,)?)) => {
+        match ($need.sum, $need.min, $need.max) {
+            (true, false, false) => $kernel::<$($($lead,)*)? true, false, false>($($arg),*),
+            (false, true, false) => $kernel::<$($($lead,)*)? false, true, false>($($arg),*),
+            (false, false, true) => $kernel::<$($($lead,)*)? false, false, true>($($arg),*),
+            (true, true, false) => $kernel::<$($($lead,)*)? true, true, false>($($arg),*),
+            (true, false, true) => $kernel::<$($($lead,)*)? true, false, true>($($arg),*),
+            (false, true, true) => $kernel::<$($($lead,)*)? false, true, true>($($arg),*),
+            (true, true, true) => $kernel::<$($($lead,)*)? true, true, true>($($arg),*),
+            (false, false, false) => unreachable!("a measure with an empty need set is not compiled"),
+        }
     };
+}
 
-    /// Adds one (weighted) value — [`AggValue::accumulate`]'s arithmetic:
-    /// a tie never replaces the running extreme, so the first row wins.
-    #[inline(always)]
-    fn add(&mut self, v: f64) {
-        self.sum += v;
-        if v < self.min {
-            self.min = v;
+/// The slot kernel: folds one measure's weighted values over `(row, slot)`
+/// pairs in row order into the statistics `SUM`/`MIN`/`MAX`, and also
+/// bumps each slot's row count when `ROWS`. A tie never replaces a running
+/// extreme, so the first row wins.
+#[inline(always)]
+fn fold_slots<const ROWS: bool, const SUM: bool, const MIN: bool, const MAX: bool>(
+    rows: &mut [u64],
+    stats: &mut Stats,
+    col: &[f64],
+    weight: f64,
+    pairs: impl Iterator<Item = (usize, usize)>,
+) {
+    let (sum, min, max) = (&mut stats.sum[..], &mut stats.min[..], &mut stats.max[..]);
+    for (row, s) in pairs {
+        if ROWS {
+            rows[s] += 1;
         }
-        if v > self.max {
-            self.max = v;
+        let x = col[row] * weight;
+        if SUM {
+            sum[s] += x;
         }
-    }
-
-    /// Appends the moments of later rows: the earlier extreme wins ties,
-    /// as it would have in one row-order pass.
-    fn merge(&mut self, later: &Self) {
-        self.sum += later.sum;
-        if later.min < self.min {
-            self.min = later.min;
+        if MIN && x < min[s] {
+            min[s] = x;
         }
-        if later.max > self.max {
-            self.max = later.max;
+        if MAX && x > max[s] {
+            max[s] = x;
         }
     }
 }
 
-/// Per-worker grouping accumulator (the fold state of the parallel
-/// `fold`+`reduce` grouped scan), held as per-slot arrays.
+/// The one-slot kernel of a plain scan: [`fold_slots`]'s arithmetic on
+/// slot 0, with the running statistics held in locals for the batch and
+/// stored back once.
+#[inline(always)]
+fn fold_one_slot<const SUM: bool, const MIN: bool, const MAX: bool>(
+    stats: &mut Stats,
+    values: impl Iterator<Item = f64>,
+) {
+    let mut sum = if SUM { stats.sum[0] } else { 0.0 };
+    let mut min = if MIN { stats.min[0] } else { f64::INFINITY };
+    let mut max = if MAX { stats.max[0] } else { f64::NEG_INFINITY };
+    for x in values {
+        if SUM {
+            sum += x;
+        }
+        if MIN && x < min {
+            min = x;
+        }
+        if MAX && x > max {
+            max = x;
+        }
+    }
+    if SUM {
+        stats.sum[0] = sum;
+    }
+    if MIN {
+        stats.min[0] = min;
+    }
+    if MAX {
+        stats.max[0] = max;
+    }
+}
+
+/// One measure column's statistics per slot. Only the statistics in its
+/// need set are kept; the others stay empty.
+struct Stats {
+    need: Need,
+    sum: Vec<f64>,
+    min: Vec<f64>,
+    max: Vec<f64>,
+}
+
+impl Stats {
+    fn new(need: Need, slots: usize) -> Self {
+        let mut stats = Self {
+            need,
+            sum: Vec::new(),
+            min: Vec::new(),
+            max: Vec::new(),
+        };
+        stats.resize(slots);
+        stats
+    }
+
+    /// Grows each kept statistic to `slots` slots, new slots empty.
+    fn resize(&mut self, slots: usize) {
+        if self.need.sum {
+            self.sum.resize(slots, 0.0);
+        }
+        if self.need.min {
+            self.min.resize(slots, f64::INFINITY);
+        }
+        if self.need.max {
+            self.max.resize(slots, f64::NEG_INFINITY);
+        }
+    }
+
+    /// Appends slot `s` of `later`, which covers later rows, to slot `t`:
+    /// the earlier extreme wins ties, as it would have in one row-order
+    /// pass.
+    fn merge_slot(&mut self, t: usize, later: &Self, s: usize) {
+        if self.need.sum {
+            self.sum[t] += later.sum[s];
+        }
+        if self.need.min && later.min[s] < self.min[t] {
+            self.min[t] = later.min[s];
+        }
+        if self.need.max && later.max[s] > self.max[t] {
+            self.max[t] = later.max[s];
+        }
+    }
+}
+
+/// Per-worker accumulator (the fold state of the parallel `fold`+`reduce`
+/// scan), held as per-slot arrays.
 pub(crate) struct GroupAcc {
     matched: u64,
     /// Matched rows per slot — also every aggregate's `count`.
     rows: Vec<u64>,
-    /// Per distinct measure column, per slot.
-    moments: Vec<Vec<Moments>>,
+    /// Per distinct measure column.
+    stats: Vec<Stats>,
     /// Packed/Hashed: the key of each slot.
     keys: Vec<Vec<u32>>,
     /// `Packed`: packed key → slot.
@@ -617,24 +752,29 @@ pub(crate) struct GroupAcc {
 }
 
 impl GroupAcc {
-    pub(crate) fn new(g: &CompiledGroupBy<'_>) -> Self {
+    fn new(g: &CompiledGroupBy<'_>) -> Self {
         let slots = match g.path {
+            GroupPath::Single => 1,
             GroupPath::Dense { slots } => slots,
-            _ => 0,
+            GroupPath::Packed { .. } | GroupPath::Hashed => 0,
         };
         Self {
             matched: 0,
             rows: vec![0; slots],
-            moments: vec![vec![Moments::EMPTY; slots]; g.measures.len()],
+            stats: g
+                .measures
+                .iter()
+                .map(|&(_, need)| Stats::new(need, slots))
+                .collect(),
             keys: Vec::new(),
             packed: HashMap::new(),
             hashed: HashMap::new(),
         }
     }
 
-    /// The fused kernel: one pass over `(row, slot)` pairs, in row order,
-    /// that bumps the slot's row count and folds the first measure; any
-    /// further measure gets a pass of its own.
+    /// The fused grouped kernel: one pass over `(row, slot)` pairs, in row
+    /// order, that bumps the slot's row count and folds the first measure;
+    /// any further measure gets a pass of its own.
     #[inline(always)]
     fn fold(
         &mut self,
@@ -642,22 +782,42 @@ impl GroupAcc {
         pairs: impl Iterator<Item = (usize, usize)> + Clone,
     ) {
         let rows = self.rows.as_mut_slice();
-        let weight = g.scan.weight;
-        match (g.measures.as_slice(), self.moments.as_mut_slice()) {
-            ([first, more @ ..], [acc, accs @ ..]) => {
-                for (row, s) in pairs.clone() {
-                    rows[s] += 1;
-                    acc[s].add(first[row] * weight);
-                }
-                for (col, acc) in more.iter().zip(accs) {
-                    for (row, s) in pairs.clone() {
-                        acc[s].add(col[row] * weight);
-                    }
+        let weight = g.weight;
+        match (g.measures.as_slice(), self.stats.as_mut_slice()) {
+            ([(col, need), more @ ..], [stats, more_stats @ ..]) => {
+                with_need!(
+                    need,
+                    fold_slots::<true>(rows, stats, col, weight, pairs.clone())
+                );
+                for (&(col, need), stats) in more.iter().zip(more_stats) {
+                    with_need!(
+                        need,
+                        fold_slots::<false>(rows, stats, col, weight, pairs.clone())
+                    );
                 }
             }
             _ => {
                 for (_, s) in pairs {
                     rows[s] += 1;
+                }
+            }
+        }
+    }
+
+    /// The plain-scan kernel: one pass per measure over the batch's
+    /// matching rows into slot 0.
+    fn fold_single(&mut self, g: &CompiledGroupBy<'_>, m: &Matched<'_>) {
+        self.rows[0] += m.len() as u64;
+        let weight = g.weight;
+        for (&(col, need), stats) in g.measures.iter().zip(&mut self.stats) {
+            match m {
+                Matched::Window(w) => {
+                    let values = col[w.clone()].iter().map(|&x| x * weight);
+                    with_need!(need, fold_one_slot(stats, values));
+                }
+                Matched::Rows(sel) => {
+                    let values = sel.iter().map(|&i| col[i as usize] * weight);
+                    with_need!(need, fold_one_slot(stats, values));
                 }
             }
         }
@@ -681,13 +841,15 @@ impl GroupAcc {
                     next
                 }
             },
-            GroupPath::Dense { .. } => unreachable!("dense slots are key codes"),
+            GroupPath::Single | GroupPath::Dense { .. } => {
+                unreachable!("single and dense slots need no key map")
+            }
         };
         if slot == next {
             self.keys.push(key.to_vec());
             self.rows.push(0);
-            for m in &mut self.moments {
-                m.push(Moments::EMPTY);
+            for stats in &mut self.stats {
+                stats.resize(self.rows.len());
             }
         }
         slot
@@ -695,7 +857,7 @@ impl GroupAcc {
 
     /// Merges `other`, which covers later rows, into `self` (the reduce
     /// step).
-    pub(crate) fn merge(&mut self, g: &CompiledGroupBy<'_>, other: Self) {
+    fn merge(&mut self, g: &CompiledGroupBy<'_>, other: Self) {
         if self.matched == 0 {
             // `self` holds no group (e.g. the reduce's starting identity).
             *self = other;
@@ -707,47 +869,64 @@ impl GroupAcc {
                 continue; // a vacant dense code
             }
             let t = match g.path {
-                GroupPath::Dense { .. } => s,
+                GroupPath::Single | GroupPath::Dense { .. } => s,
                 _ => self.slot_for_key(g, &other.keys[s]) as usize,
             };
             self.rows[t] += other.rows[s];
-            for (mine, theirs) in self.moments.iter_mut().zip(&other.moments) {
-                mine[t].merge(&theirs[s]);
+            for (mine, theirs) in self.stats.iter_mut().zip(&other.stats) {
+                mine.merge_slot(t, theirs, s);
             }
         }
     }
 
-    /// Produces the final result: the occupied slots as groups in key
-    /// order, each aggregate's `count` taken from its slot's rows.
-    pub(crate) fn finish(mut self, g: &CompiledGroupBy<'_>) -> crate::groupby::GroupedResult {
-        let dense = matches!(g.path, GroupPath::Dense { .. });
-        let mut groups: Vec<crate::groupby::Group> = (0..self.rows.len())
-            .filter(|&s| self.rows[s] > 0)
-            .map(|s| {
-                let rows = self.rows[s];
-                let values = g
-                    .aggs
-                    .iter()
-                    .map(|&(op, measure)| {
-                        let mut v = AggValue::empty(op);
-                        v.count = rows;
-                        if let Some(j) = measure {
-                            let m = self.moments[j][s];
-                            (v.sum, v.min, v.max) = (m.sum, m.min, m.max);
-                        }
-                        v
-                    })
-                    .collect();
-                let key = if dense {
-                    vec![s as u32]
-                } else {
-                    std::mem::take(&mut self.keys[s])
-                };
-                crate::groupby::Group { key, values, rows }
+    /// Slot `s`'s aggregate values. Each carries the slot's row count as
+    /// its `count` and, beyond that, only its own operator's statistic.
+    fn values(&self, g: &CompiledGroupBy<'_>, s: usize) -> Vec<AggValue> {
+        g.aggs
+            .iter()
+            .map(|&(op, measure)| {
+                let mut v = AggValue::empty(op);
+                v.count = self.rows[s];
+                if let Some(stats) = measure.map(|j| &self.stats[j]) {
+                    match op {
+                        AggOp::Sum | AggOp::Avg => v.sum = stats.sum[s],
+                        AggOp::Min => v.min = stats.min[s],
+                        AggOp::Max => v.max = stats.max[s],
+                        AggOp::Count => {}
+                    }
+                }
+                v
             })
-            .collect();
-        if !dense {
-            groups.sort_by(|a, b| a.key.cmp(&b.key));
+            .collect()
+    }
+
+    /// The plain-scan result: slot 0's values, which for zero matched rows
+    /// are the empty value of every aggregate.
+    pub(crate) fn finish_scan(self, g: &CompiledGroupBy<'_>) -> AggResult {
+        debug_assert!(matches!(g.path, GroupPath::Single));
+        AggResult {
+            values: self.values(g, 0),
+            matched_rows: self.matched,
+        }
+    }
+
+    /// The grouped result: the occupied slots as groups in key order.
+    pub(crate) fn finish(mut self, g: &CompiledGroupBy<'_>) -> crate::groupby::GroupedResult {
+        let mut groups = Vec::new();
+        for s in (0..self.rows.len()).filter(|&s| self.rows[s] > 0) {
+            let key = match g.path {
+                GroupPath::Single => Vec::new(),
+                GroupPath::Dense { .. } => vec![s as u32],
+                GroupPath::Packed { .. } | GroupPath::Hashed => std::mem::take(&mut self.keys[s]),
+            };
+            groups.push(crate::groupby::Group {
+                key,
+                values: self.values(g, s),
+                rows: self.rows[s],
+            });
+        }
+        if matches!(g.path, GroupPath::Packed { .. } | GroupPath::Hashed) {
+            groups.sort_by(|a: &crate::groupby::Group, b| a.key.cmp(&b.key));
         }
         crate::groupby::GroupedResult {
             groups,

@@ -8,8 +8,7 @@
 //! for drill-down result sets ("sales *by month*"), and building a cube is
 //! semantically `GROUP BY` over every dimension at the target resolution.
 
-use crate::exec::{CompiledGroupBy, GroupAcc, BLOCK_ROWS};
-use crate::par;
+use crate::exec::CompiledGroupBy;
 use crate::scan::{AggValue, Predicate, ScanError, ScanQuery};
 use crate::schema::ColumnId;
 use crate::table::FactTable;
@@ -192,8 +191,9 @@ impl FactTable {
     }
 
     /// Row-at-a-time reference grouped scan — the original naive
-    /// interpreter (per-row `Vec<u32>` key clone + `HashMap` probe),
-    /// retained verbatim: property tests assert the vectorized
+    /// interpreter (per-row `Vec<u32>` key clone + `HashMap` probe), with
+    /// one [`AggValue`] per aggregate that accumulates only its operator's
+    /// statistic: property tests assert the vectorized
     /// [`FactTable::group_by_seq`] is exactly equivalent to it, and the
     /// `scan_bench` binary measures the speedup against it.
     pub fn group_by_scalar(&self, q: &GroupByQuery) -> Result<GroupedResult, ScanError> {
@@ -215,42 +215,22 @@ impl FactTable {
     pub fn group_by_seq(&self, q: &GroupByQuery) -> Result<GroupedResult, ScanError> {
         self.validate(&q.scan)?;
         self.validate_group_by(q)?;
-        let compiled = CompiledGroupBy::compile(self, q);
-        let mut acc = GroupAcc::new(&compiled);
-        compiled.scan_range(self.zone_maps(), 0, self.rows(), &mut acc);
-        Ok(acc.finish(&compiled))
+        let compiled = CompiledGroupBy::compile(self, &q.scan, &q.group_by);
+        Ok(compiled.run_seq().finish(&compiled))
     }
 
-    /// Parallel grouped scan over row blocks ([`par::fold_reduce`]):
+    /// Parallel grouped scan over row blocks ([`crate::par::fold_reduce`]):
     /// every thread folds a contiguous run of whole blocks into its own
-    /// slot-array accumulator and the accumulators merge in block order (the classic two-phase
-    /// parallel aggregation of Liang & Orlowska's "naïve parallel
-    /// algorithm", §II-B — without materialising per-block partials).
+    /// slot-array accumulator and the accumulators merge in block order
+    /// (the classic two-phase parallel aggregation of Liang & Orlowska's
+    /// "naïve parallel algorithm", §II-B — without materialising per-block
+    /// partials). Blocks the zone maps rule out entirely are never handed
+    /// to a thread.
     pub fn group_by_par(&self, q: &GroupByQuery) -> Result<GroupedResult, ScanError> {
         self.validate(&q.scan)?;
         self.validate_group_by(q)?;
-        let rows = self.rows();
-        let compiled = CompiledGroupBy::compile(self, q);
-        if rows == 0 || compiled.scan.empty {
-            return Ok(GroupAcc::new(&compiled).finish(&compiled));
-        }
-        let zones = self.zone_maps();
-        let blocks = rows.div_ceil(BLOCK_ROWS);
-        let total = par::fold_reduce(
-            0..blocks,
-            || GroupAcc::new(&compiled),
-            |mut acc, b| {
-                let start = b * BLOCK_ROWS;
-                let end = (start + BLOCK_ROWS).min(rows);
-                compiled.scan_range(zones, start, end, &mut acc);
-                acc
-            },
-            |mut a, b| {
-                a.merge(&compiled, b);
-                a
-            },
-        );
-        Ok(total.finish(&compiled))
+        let compiled = CompiledGroupBy::compile(self, &q.scan, &q.group_by);
+        Ok(compiled.run_par().finish(&compiled))
     }
 }
 

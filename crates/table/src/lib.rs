@@ -29,12 +29,14 @@
 //! fixed [`BATCH_ROWS`]-row batches into reusable selection vectors with
 //! branch-free kernels, per-block zone maps ([`zone`]) skip batches whose
 //! `[min, max]` cannot satisfy a conjunct, set predicates compile to dense
-//! membership bitmaps, and group-by folds each batch in one pass into
-//! per-slot arrays (a single small-domain key is its own slot; wider keys
-//! are packed into a `u64` or hashed). The original row-at-a-time
-//! interpreter is retained as [`FactTable::scan_scalar`] /
-//! [`FactTable::group_by_scalar`] — the reference implementation the
-//! vectorized engine is property-tested and benchmarked against.
+//! membership bitmaps, and plain and grouped scans share one kernel that
+//! folds each batch in one pass into per-slot arrays, computing only the
+//! statistics the query's aggregates read (a plain scan is one slot; a
+//! single small-domain key is its own slot; wider keys are packed into a
+//! `u64` or hashed). The row-at-a-time interpreter is kept as
+//! [`FactTable::scan_scalar`] / [`FactTable::group_by_scalar`] — the
+//! reference implementation the vectorized engine is property-tested and
+//! benchmarked against.
 //!
 //! # Example
 //!

@@ -10,12 +10,12 @@
 //! into one contiguous part per thread ([`crate::par`]) and merges the
 //! partial accumulators — structurally
 //! the same as the GPU's "parallel table scan → parallel reduction" steps.
-//! The original row-at-a-time interpreter is retained as
+//! A plain scan runs as a grouped scan with one slot and no key, so both
+//! share one aggregation kernel. The row-at-a-time interpreter is kept as
 //! [`FactTable::scan_scalar`], the reference implementation the vectorized
 //! engine is tested and benchmarked against.
 
-use crate::exec::{CompiledScan, BLOCK_ROWS};
-use crate::par;
+use crate::exec::CompiledGroupBy;
 use crate::schema::ColumnId;
 use crate::table::FactTable;
 use std::fmt;
@@ -261,17 +261,22 @@ impl fmt::Display for ScanError {
 impl std::error::Error for ScanError {}
 
 /// Accumulator/result for one aggregate.
+///
+/// Every engine fills in `count` and, beyond that, only the running
+/// statistic of its own operator: `sum` for SUM and AVG, `min` for MIN,
+/// `max` for MAX. The other fields keep their empty values (`0`, `+∞`,
+/// `−∞`); [`AggValue::value`] reads only the operator's own statistic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggValue {
     /// Operator this value was computed with.
     pub op: AggOp,
-    /// Running sum (weighted) — meaningful for Sum/Avg.
+    /// Running sum (weighted) for Sum/Avg, `0` otherwise.
     pub sum: f64,
     /// Number of rows accumulated.
     pub count: u64,
-    /// Running minimum (weighted), `+∞` when empty.
+    /// Running minimum (weighted) for Min, `+∞` otherwise or when empty.
     pub min: f64,
-    /// Running maximum (weighted), `−∞` when empty.
+    /// Running maximum (weighted) for Max, `−∞` otherwise or when empty.
     pub max: f64,
 }
 
@@ -286,15 +291,25 @@ impl AggValue {
         }
     }
 
+    /// Adds one (weighted) value to the count and to the operator's own
+    /// statistic. A tie never replaces the running extreme, so the first
+    /// row wins.
     #[inline]
     pub(crate) fn accumulate(&mut self, v: f64) {
-        self.sum += v;
         self.count += 1;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
+        match self.op {
+            AggOp::Count => {}
+            AggOp::Sum | AggOp::Avg => self.sum += v,
+            AggOp::Min => {
+                if v < self.min {
+                    self.min = v;
+                }
+            }
+            AggOp::Max => {
+                if v > self.max {
+                    self.max = v;
+                }
+            }
         }
     }
 
@@ -332,18 +347,6 @@ pub struct AggResult {
     pub values: Vec<AggValue>,
     /// Number of rows that passed all filters.
     pub matched_rows: u64,
-}
-
-impl AggResult {
-    /// Merges another partial result of the same query into this one (the
-    /// reduce step of the parallel scan).
-    pub fn merge(&mut self, other: &Self) {
-        debug_assert_eq!(self.values.len(), other.values.len());
-        self.matched_rows += other.matched_rows;
-        for (t, p) in self.values.iter_mut().zip(&other.values) {
-            t.merge(p);
-        }
-    }
 }
 
 impl FactTable {
@@ -421,58 +424,40 @@ impl FactTable {
         }
     }
 
-    /// Row-at-a-time reference scan. This is the original naive
-    /// interpreter, retained verbatim: property tests assert the
-    /// vectorized [`FactTable::scan_seq`] is exactly equivalent to it, and
-    /// the `scan_bench` binary measures the speedup against it.
+    /// Row-at-a-time reference scan: the original naive interpreter, with
+    /// one [`AggValue`] per aggregate that accumulates only its operator's
+    /// statistic. Property tests assert the vectorized
+    /// [`FactTable::scan_seq`] is exactly equivalent to it, and the
+    /// `scan_bench` binary measures the speedup against it.
     pub fn scan_scalar(&self, q: &ScanQuery) -> Result<AggResult, ScanError> {
         self.validate(q)?;
         Ok(self.scan_block_scalar(q, 0, self.rows()))
     }
 
     /// Sequential scan (the single-threaded baseline) on the vectorized
-    /// executor. Bit-identical to [`FactTable::scan_scalar`]: batches are
-    /// visited in row order with a single accumulator, so floating-point
-    /// accumulation order is unchanged.
+    /// executor: a grouped scan with one slot and no key. Bit-identical to
+    /// [`FactTable::scan_scalar`]: batches are visited in row order with a
+    /// single accumulator per statistic, so floating-point accumulation
+    /// order is unchanged.
     pub fn scan_seq(&self, q: &ScanQuery) -> Result<AggResult, ScanError> {
         self.validate(q)?;
-        let compiled = CompiledScan::compile(self, q);
-        let mut acc = compiled.empty_result();
-        compiled.scan_range(self.zone_maps(), 0, self.rows(), &mut acc);
-        Ok(acc)
+        let compiled = CompiledGroupBy::compile(self, q, &[]);
+        Ok(compiled.run_seq().finish_scan(&compiled))
     }
 
-    /// Parallel scan over row blocks with the current [`par::Pool`]'s
+    /// Parallel scan over row blocks with the current [`crate::par::Pool`]'s
     /// width: each thread accumulates a contiguous run of whole blocks
     /// into its own partial and the partials merge in block order —
-    /// no `Vec` of per-block results is ever materialised.
+    /// no `Vec` of per-block results is ever materialised. Blocks the zone
+    /// maps rule out entirely are never handed to a thread.
     ///
     /// Equivalent to [`FactTable::scan_seq`] up to floating-point
-    /// reassociation in the reduction.
+    /// reassociation in the reduction; MIN/MAX keep the earlier extreme on
+    /// ties, so they match to the bit.
     pub fn scan_par(&self, q: &ScanQuery) -> Result<AggResult, ScanError> {
         self.validate(q)?;
-        let rows = self.rows();
-        let compiled = CompiledScan::compile(self, q);
-        if rows == 0 || compiled.empty {
-            return Ok(compiled.empty_result());
-        }
-        let zones = self.zone_maps();
-        let blocks = rows.div_ceil(BLOCK_ROWS);
-        let total = par::fold_reduce(
-            0..blocks,
-            || compiled.empty_result(),
-            |mut acc, b| {
-                let start = b * BLOCK_ROWS;
-                let end = (start + BLOCK_ROWS).min(rows);
-                compiled.scan_range(zones, start, end, &mut acc);
-                acc
-            },
-            |mut a, b| {
-                a.merge(&b);
-                a
-            },
-        );
-        Ok(total)
+        let compiled = CompiledGroupBy::compile(self, q, &[]);
+        Ok(compiled.run_par().finish_scan(&compiled))
     }
 }
 

@@ -1,5 +1,6 @@
 //! Process-wide scan telemetry: relaxed atomic counters the vectorized
-//! executor flushes into once per `scan_range` call.
+//! executor flushes into once per scanned row range, and once per parallel
+//! split for the blocks the zone maps rule out before any thread starts.
 //!
 //! The counters are deliberately *not* per-table: the scan engine is the
 //! innermost hot loop of the system, so the executor accumulates into

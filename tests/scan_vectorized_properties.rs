@@ -11,8 +11,8 @@
 
 use holap::table::par::Pool;
 use holap::table::{
-    AggOp, AggSpec, ColumnId, FactTable, FactTableBuilder, GroupByQuery, GroupedResult, Predicate,
-    ScanQuery, SetPredicate, TableSchema, BATCH_ROWS, BLOCK_ROWS,
+    AggOp, AggResult, AggSpec, AggValue, ColumnId, FactTable, FactTableBuilder, GroupByQuery,
+    GroupedResult, Predicate, ScanQuery, SetPredicate, TableSchema, BATCH_ROWS, BLOCK_ROWS,
 };
 use holap::workload::Rng;
 
@@ -452,6 +452,221 @@ fn parallel_group_by_matches_scalar_under_every_pool_width() {
                     assert!((x.sum - y.sum).abs() <= 1e-9 * (1.0 + x.sum.abs()));
                 }
             }
+        }
+    });
+}
+
+/// The plain scan the engine sends, `SUM(m) + COUNT(*)` under a random
+/// weight, is bit-identical to the scalar reference, sequentially and on
+/// a one-thread pool.
+#[test]
+fn engine_shape_scan_equals_scalar_exactly() {
+    check(96, |rng| {
+        let table = table(rng);
+        let q = filtered(rng)
+            .aggregate(AggSpec::new(AggOp::Sum, Some(rng.gen_range(0usize..2))))
+            .aggregate(AggSpec::count_star());
+        let s = table.scan_scalar(&q).unwrap();
+        assert_eq!(table.scan_seq(&q).unwrap(), s);
+        assert_eq!(Pool::new(1).install(|| table.scan_par(&q).unwrap()), s);
+    });
+}
+
+/// The result of matching no row: one empty value per aggregate.
+fn empty_result(q: &ScanQuery) -> AggResult {
+    let values = q.aggregates.iter().map(|a| AggValue {
+        op: a.op,
+        sum: 0.0,
+        count: 0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    });
+    AggResult {
+        values: values.collect(),
+        matched_rows: 0,
+    }
+}
+
+/// A scan whose filters overlap every block's zone bounds but match no
+/// row runs the kernel and still answers the empty result, not "no
+/// values".
+#[test]
+fn empty_match_scan_is_the_empty_result() {
+    check(24, |rng| {
+        let schema = TableSchema::builder()
+            .dimension("a", &[("l", 64)])
+            .measure("m")
+            .build();
+        let mut b = FactTableBuilder::new(schema);
+        for _ in 0..rng.gen_range(1..3 * BLOCK_ROWS) {
+            let even = 2 * rng.gen_range(0u32..32);
+            b.push_row(&[even], &[rng.gen_range(-100.0..100.0)])
+                .unwrap();
+        }
+        let table = b.finish();
+        let odd: Vec<u32> = (0..rng.gen_range(1usize..6))
+            .map(|_| 2 * rng.gen_range(0u32..32) + 1)
+            .collect();
+        let mut q = ScanQuery::new()
+            .filter(Predicate::range(ColumnId::dim(0, 0), 1, 63))
+            .filter_set(SetPredicate::new(ColumnId::dim(0, 0), odd))
+            .with_weight(*rng.choose(&[1.0f64, -2.0]).unwrap());
+        for op in ALL_OPS {
+            q = q.aggregate(AggSpec::new(op, Some(0)));
+        }
+        let q = q.aggregate(AggSpec::count_star());
+        let empty = empty_result(&q);
+        assert_eq!(table.scan_scalar(&q).unwrap(), empty);
+        assert_eq!(table.scan_seq(&q).unwrap(), empty);
+        for threads in [1, 2, 8] {
+            let par = Pool::new(threads).install(|| table.scan_par(&q).unwrap());
+            assert_eq!(par, empty, "{threads} threads");
+        }
+    });
+}
+
+/// The weighted measure values of the rows that pass `q`'s filters, in
+/// row order — a row loop of its own, independent of every engine.
+fn matching_values(table: &FactTable, q: &ScanQuery, measure: usize) -> Vec<f64> {
+    let col = table.measure_column(measure);
+    (0..table.rows())
+        .filter(|&row| {
+            q.predicates.iter().all(|p| {
+                let v = table.u32_column(p.column)[row];
+                p.lo <= v && v <= p.hi
+            }) && q
+                .set_predicates
+                .iter()
+                .all(|p| p.codes().contains(&table.u32_column(p.column)[row]))
+        })
+        .map(|row| col[row] * q.weight)
+        .collect()
+}
+
+/// Checks one aggregate against the row loop: `value()` is the operator's
+/// answer (SUM and AVG within `slack`), `count` is the matched rows, and
+/// the statistics of the other operators keep their empty values.
+fn assert_contract(v: &AggValue, xs: &[f64], slack: f64) {
+    let sum = xs.iter().fold(0.0, |a, &x| a + x);
+    let first_min = xs
+        .iter()
+        .fold(f64::INFINITY, |m, &x| if x < m { x } else { m });
+    let first_max = xs
+        .iter()
+        .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m });
+    let n = xs.len();
+    assert_eq!(v.count, n as u64, "{:?} count", v.op);
+    let want = match v.op {
+        AggOp::Count => Some(n as f64),
+        AggOp::Sum => Some(sum),
+        AggOp::Min => (n > 0).then_some(first_min),
+        AggOp::Max => (n > 0).then_some(first_max),
+        AggOp::Avg => (n > 0).then(|| sum / n as f64),
+    };
+    match (v.value(), want) {
+        (Some(got), Some(want)) if slack > 0.0 && matches!(v.op, AggOp::Sum | AggOp::Avg) => {
+            assert!(
+                (got - want).abs() <= slack * (1.0 + want.abs()),
+                "{:?}",
+                v.op
+            );
+        }
+        (got, want) => assert_eq!(got, want, "{:?} value", v.op),
+    }
+    if !matches!(v.op, AggOp::Sum | AggOp::Avg) {
+        assert_eq!(v.sum.to_bits(), 0.0f64.to_bits(), "{:?} keeps sum 0", v.op);
+    }
+    if v.op != AggOp::Min {
+        assert_eq!(v.min, f64::INFINITY, "{:?} keeps min +inf", v.op);
+    }
+    if v.op != AggOp::Max {
+        assert_eq!(v.max, f64::NEG_INFINITY, "{:?} keeps max -inf", v.op);
+    }
+}
+
+/// Every aggregate carries its count and only its own operator's
+/// statistic, and its value equals a row loop written here, in the
+/// scalar reference, the sequential scan and the parallel scan.
+#[test]
+fn each_aggregate_carries_only_its_own_statistic() {
+    check(48, |rng| {
+        let table = table(rng);
+        let q = query(rng);
+        let xs = [0, 1].map(|m| matching_values(&table, &q, m));
+        let results = [
+            (table.scan_scalar(&q).unwrap(), 0.0),
+            (table.scan_seq(&q).unwrap(), 0.0),
+            (table.scan_par(&q).unwrap(), 1e-9),
+        ];
+        for (r, slack) in &results {
+            assert_eq!(r.matched_rows, xs[0].len() as u64);
+            for (v, a) in r.values.iter().zip(&q.aggregates) {
+                assert_contract(v, a.measure.map_or(&xs[0][..], |m| &xs[m]), *slack);
+            }
+        }
+    });
+}
+
+/// Several operators on one measure plus another measure — the union of
+/// need sets — plain and grouped, bit-identical to the scalar reference
+/// sequentially and on a one-thread pool.
+#[test]
+fn need_set_union_equals_scalar_exactly() {
+    check(96, |rng| {
+        let table = table(rng);
+        let mut q = filtered(rng);
+        for op in [AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Avg] {
+            q = q.aggregate(AggSpec::new(op, Some(0)));
+        }
+        let q = q.aggregate(AggSpec::new(AggOp::Sum, Some(1)));
+        let s = table.scan_scalar(&q).unwrap();
+        assert_eq!(table.scan_seq(&q).unwrap(), s);
+        assert_eq!(Pool::new(1).install(|| table.scan_par(&q).unwrap()), s);
+        let gq = GroupByQuery::new(q, keys(rng));
+        let gs = table.group_by_scalar(&gq).unwrap();
+        assert_eq!(table.group_by_seq(&gq).unwrap(), gs);
+        assert_eq!(
+            Pool::new(1).install(|| table.group_by_par(&gq).unwrap()),
+            gs
+        );
+    });
+}
+
+/// A plain scan over values that are all `0.0` or `-0.0`: MIN and MAX tie
+/// on every row and the first row's sign wins, to the bit, sequentially
+/// and under every pool width — the plain-scan twin of
+/// `signed_zero_ties_keep_row_order`.
+#[test]
+fn plain_scan_signed_zero_ties_keep_row_order() {
+    check(6, |rng| {
+        let schema = TableSchema::builder()
+            .dimension("g", &[("l", 3)])
+            .measure("m")
+            .build();
+        let mut b = FactTableBuilder::new(schema);
+        for _ in 0..rng.gen_range(1..3 * BLOCK_ROWS) {
+            let v = *rng.choose(&[0.0f64, -0.0]).unwrap();
+            b.push_row(&[rng.gen_range(0u32..3)], &[v]).unwrap();
+        }
+        let table = b.finish();
+        let mut q = ScanQuery::new().with_weight(*rng.choose(&[1.0f64, -2.0]).unwrap());
+        for op in ALL_OPS {
+            q = q.aggregate(AggSpec::new(op, Some(0)));
+        }
+        let s = table.scan_scalar(&q).unwrap();
+        let bits = |r: &AggResult| -> Vec<(u64, u64, u64)> {
+            let values = r.values.iter();
+            values
+                .map(|v| (v.sum.to_bits(), v.min.to_bits(), v.max.to_bits()))
+                .collect()
+        };
+        let seq = table.scan_seq(&q).unwrap();
+        assert_eq!(seq, s);
+        assert_eq!(bits(&seq), bits(&s));
+        for threads in [1, 2, 8] {
+            let par = Pool::new(threads).install(|| table.scan_par(&q).unwrap());
+            assert_eq!(par, s, "{threads} threads");
+            assert_eq!(bits(&par), bits(&s), "{threads} threads");
         }
     });
 }
